@@ -6,6 +6,7 @@
 
 #include "axis/monitor.hpp"
 #include "axis/stream.hpp"
+#include "axis/testbench.hpp"
 #include "sim/simulator.hpp"
 
 namespace hlshc::axis {
@@ -126,6 +127,49 @@ TEST(MonitorInjection, MissingLastIsCaught) {
   auto v = monitor.violations();
   ASSERT_FALSE(v.empty());
   EXPECT_NE(v[0].find("missing TLAST"), std::string::npos);
+}
+
+TEST(MonitorInjection, MalformedFramesStillDeliverAMatrix) {
+  // TLAST alone closes a matrix: a 1-beat frame delivers its row with the
+  // rest zero, an 11-beat frame its first 8 rows. Neither throws out of
+  // the run; the monitor flags both (V3).
+  Design short_frames = skeleton([](Design& d, NodeId) {
+    d.output("m_tvalid", d.constant(1, 1));
+    d.output("m_tlast", d.constant(1, 1));
+    add_lanes(d, d.constant(kOutElemWidth, 5));
+  });
+  Design long_frames = skeleton([](Design& d, NodeId) {
+    NodeId cnt = d.reg(kOutElemWidth, 0, "cnt");
+    NodeId wrap = d.eq(cnt, d.constant(kOutElemWidth, 10));
+    d.set_reg_next(cnt, d.mux(wrap, d.constant(kOutElemWidth, 0),
+                              d.add(cnt, d.constant(kOutElemWidth, 1),
+                                    kOutElemWidth),
+                              kOutElemWidth));
+    d.output("m_tvalid", d.constant(1, 1));
+    d.output("m_tlast", wrap);
+    add_lanes(d, cnt);
+  });
+  const idct::Block in{};
+  {
+    sim::Simulator sim(short_frames);
+    StreamTestbench tb(sim);
+    const auto out = tb.run({in, in}, 100);
+    ASSERT_EQ(out.size(), 2u);
+    for (int c = 0; c < kLanes; ++c) EXPECT_EQ(idct::at(out[1], 0, c), 5);
+    for (int r = 1; r < idct::kBlockDim; ++r)
+      EXPECT_EQ(idct::at(out[1], r, 0), 0) << "row " << r;
+    EXPECT_FALSE(tb.monitor().clean());
+  }
+  {
+    sim::Simulator sim(long_frames);
+    StreamTestbench tb(sim);
+    const auto out = tb.run({in}, 100);
+    ASSERT_EQ(out.size(), 1u);
+    for (int r = 0; r < idct::kBlockDim; ++r)
+      EXPECT_EQ(idct::at(out[0], r, 3), r) << "row " << r;
+    EXPECT_EQ(tb.timing().total_cycles, 11u);
+    EXPECT_FALSE(tb.monitor().clean());
+  }
 }
 
 TEST(MonitorInjection, CompliantStallerIsClean) {
