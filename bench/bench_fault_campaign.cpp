@@ -5,6 +5,11 @@
 // paper's A / P / Q axes for each variant — what the hardening costs in
 // Table II terms.
 //
+// The default IDCT set adds a stuck-at campaign on the optimized design:
+// stuck-at faults wedge the stream far more often than SEUs, so this row
+// gates the hang tail — the scalar loop runs every hang to the 20000-cycle
+// watchdog, the batched loops prove most of them early (axis::HangWatch).
+//
 // Each campaign runs three ways — scalar (lanes=1, jobs=1), lane-batched
 // (lanes=L, jobs=1) and batched-parallel (lanes=L, jobs=N; skipped when
 // jobs == 1) — to report the batch and pool speedups alongside the
@@ -75,17 +80,20 @@ void check_counts_equal(const hlshc::fault::CampaignCounts& a,
   }
 }
 
-/// Runs the campaign scalar (lanes=1, jobs=1), lane-batched (lanes=L,
-/// jobs=1), then batched-parallel over `jobs` workers (skipped when
-/// jobs == 1), verifies the outcome counts match bit-for-bit across all
-/// three runs, and joins the final campaign with the A/P/Q axes.
+/// Runs the campaign (SEU sites, or stuck-at sites when `stuck`) scalar
+/// (lanes=1, jobs=1), lane-batched (lanes=L, jobs=1), then batched-parallel
+/// over `jobs` workers (skipped when jobs == 1), verifies the outcome
+/// counts match bit-for-bit across all three runs, and joins the final
+/// campaign with the A/P/Q axes.
 hlshc::fault::DesignResilience measure(const hlshc::netlist::Design& d,
                                        const hlshc::workload::WorkloadSpec& spec,
                                        const hlshc::synth::NormalizedSynth& ns,
-                                       int sites, int jobs, int lanes,
-                                       CampaignTiming* timing) {
+                                       bool stuck, int sites, int jobs,
+                                       int lanes, CampaignTiming* timing) {
   auto sampled =
-      hlshc::fault::sample_seu_sites(d, sites, kMaxInjectCycle, kSampleSeed);
+      stuck ? hlshc::fault::sample_stuck_sites(d, sites, kSampleSeed)
+            : hlshc::fault::sample_seu_sites(d, sites, kMaxInjectCycle,
+                                             kSampleSeed);
   hlshc::fault::CampaignOptions opts;
   opts.matrices = 2;
   opts.max_cycles = 20000;
@@ -160,7 +168,7 @@ int main(int argc, char** argv) {
   const hlshc::obs::TraceScope bench_trace(hlshc::obs::new_trace());
 
   std::printf(
-      "=== SEU campaign: %d sampled sites/design, seed %llu, %d jobs, "
+      "=== fault campaign: %d sampled sites/design, seed %llu, %d jobs, "
       "%d lanes ===\n\n",
       sites, static_cast<unsigned long long>(kSampleSeed), jobs, lanes);
 
@@ -168,6 +176,7 @@ int main(int argc, char** argv) {
     std::string tag;
     const hlshc::workload::WorkloadSpec* spec;
     hlshc::netlist::Design design;
+    bool stuck = false;  ///< stuck-at sites instead of SEUs
   };
   const hlshc::workload::Registry& registry =
       hlshc::workload::Registry::instance();
@@ -193,6 +202,7 @@ int main(int argc, char** argv) {
       hlshc::netlist::Design base_opt2 =
           hlshc::tools::compile(spec.builder("verilog_opt2").build()).design;
       rows.push_back({"verilog initial", &spec, base_initial});
+      rows.push_back({"verilog opt2 stuck-at", &spec, base_opt2, true});
       rows.push_back({"verilog opt2", &spec, base_opt2});
       rows.push_back({"verilog opt2 + TMR", &spec, hlshc::fault::tmr(base_opt2)});
     } else {
@@ -224,7 +234,8 @@ int main(int argc, char** argv) {
     hlshc::synth::NormalizedSynth ns =
         hlshc::tools::compile_synth_normalized(row.design, no_pipeline);
     results.push_back(
-        measure(row.design, *row.spec, ns, sites, jobs, lanes, &timing));
+        measure(row.design, *row.spec, ns, row.stuck, sites, jobs, lanes,
+                &timing));
     const hlshc::fault::DesignResilience& r = results.back();
     const hlshc::fault::CampaignCounts& c = r.campaign.counts;
     double rate =

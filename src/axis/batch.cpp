@@ -8,9 +8,43 @@
 
 namespace hlshc::axis {
 
+namespace {
+
+/// How a lane's run ended.
+enum class LaneEnd { kDone, kHangProven, kWatchdog };
+
+}  // namespace
+
+bool HangWatch::repeats(const sim::BatchSimulator& sim, int lane,
+                        const SourceDriver& source, const SinkDriver& sink) {
+  if (sim.lane_cycle(lane) < from_ || sim.timed_fault_pending(lane))
+    return false;
+  key_.clear();
+  sim.lane_state(lane, key_);
+  source.append_state(key_);
+  sink.append_state(key_);
+  if (!anchored_) {
+    anchored_ = true;
+    power_ = 1;
+    since_ = 0;
+    snapshot_.swap(key_);
+    return false;
+  }
+  if (key_ == snapshot_) return true;
+  // Brent: move the snapshot up to the current key at distances 1, 2, 4,
+  // ...; once it sits inside the cycle and the distance reaches the
+  // period, the next lap lands on it.
+  if (++since_ == power_) {
+    power_ *= 2;
+    since_ = 0;
+    snapshot_.swap(key_);
+  }
+  return false;
+}
+
 std::vector<BatchLaneResult> BatchStreamTestbench::run(
     const std::vector<std::vector<idct::Block>>& inputs, uint64_t max_cycles,
-    const std::vector<netlist::NodeId>& probes) {
+    const std::vector<netlist::NodeId>& probes, uint64_t hang_check_from) {
   const int lanes = sim_.lanes();
   HLSHC_CHECK(static_cast<int>(inputs.size()) == lanes,
               "batch run got " << inputs.size() << " input sets for "
@@ -26,6 +60,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
   std::vector<std::unique_ptr<SourceDriver>> sources;
   std::vector<std::unique_ptr<SinkDriver>> sinks;
   std::vector<std::unique_ptr<Monitor>> monitors;
+  std::vector<HangWatch> watches(static_cast<size_t>(lanes));
   sources.reserve(static_cast<size_t>(lanes));
   sinks.reserve(static_cast<size_t>(lanes));
   monitors.reserve(static_cast<size_t>(lanes));
@@ -33,6 +68,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
     sources.push_back(std::make_unique<SourceDriver>(sim_.lane(l)));
     sinks.push_back(std::make_unique<SinkDriver>(sim_.lane(l)));
     monitors.push_back(std::make_unique<Monitor>(sim_.lane(l)));
+    watches[static_cast<size_t>(l)].arm(hang_check_from);
   }
 
   std::vector<BatchLaneResult> results(static_cast<size_t>(lanes));
@@ -54,12 +90,13 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
   }
   const int lanes_active = remaining;
 
-  auto finish_lane = [&](int l, uint64_t cycles, bool hung) {
+  auto finish_lane = [&](int l, uint64_t cycles, LaneEnd end) {
     const size_t sl = static_cast<size_t>(l);
     BatchLaneResult& r = results[sl];
     r.matrices = sinks[sl]->matrices();
     r.clean = monitors[sl]->clean();
-    r.hung = hung;
+    r.hung = end != LaneEnd::kDone;
+    r.hang_proven = end == LaneEnd::kHangProven;
     // Same read point as the scalar campaign's post-run detector reads:
     // the settled state right after the lane's final step.
     r.probes.reserve(probes.size());
@@ -74,7 +111,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
     // pays for lanes still running, so one straggler (e.g. a hang
     // candidate burning its whole cycle budget) degrades toward scalar
     // cost instead of dragging `lanes` columns along.
-    if (!hung) sim_.retire_lane(l);
+    sim_.retire_lane(l);
   };
 
   uint64_t cycles = 0;
@@ -83,7 +120,8 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
     if (cycles >= max_cycles) {
       timed_out = true;
       for (int l = 0; l < lanes; ++l)
-        if (active[static_cast<size_t>(l)]) finish_lane(l, cycles, true);
+        if (active[static_cast<size_t>(l)])
+          finish_lane(l, cycles, LaneEnd::kWatchdog);
       break;
     }
     // One scalar-testbench cycle, in the scalar order, for every active
@@ -104,20 +142,23 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
     ++cycles;
     for (int l = 0; l < lanes; ++l) {
       const size_t sl = static_cast<size_t>(l);
-      if (active[sl] && sinks[sl]->matrices().size() >= want[sl])
-        finish_lane(l, cycles, false);
+      if (!active[sl]) continue;
+      if (sinks[sl]->matrices().size() >= want[sl])
+        finish_lane(l, cycles, LaneEnd::kDone);
+      else if (watches[sl].repeats(sim_, l, *sources[sl], *sinks[sl]))
+        finish_lane(l, cycles, LaneEnd::kHangProven);
     }
   }
 
-  // Masked lanes: finished (or never started) while the batch kept
-  // stepping for stragglers. Hung lanes all end at the final cycle and are
-  // not "masked" — they ran the whole sweep.
+  // Masked lanes: finished (or never started, or proven hung) while the
+  // batch kept stepping for stragglers. Lanes the watchdog stopped all end
+  // at the final cycle and are not "masked" — they ran the whole sweep.
   masked_early_ = 0;
   for (int l = 0; l < lanes; ++l) {
     const size_t sl = static_cast<size_t>(l);
     if (want[sl] == 0) {
       if (cycles > 0) ++masked_early_;
-    } else if (!results[sl].hung && done_at[sl] < cycles) {
+    } else if (done_at[sl] < cycles) {
       ++masked_early_;
     }
   }
@@ -135,7 +176,8 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
 std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     const std::vector<Job>& jobs, uint64_t max_cycles,
     const std::vector<netlist::NodeId>& probes,
-    const std::function<void(size_t, const BatchLaneResult&)>& on_done) {
+    const std::function<void(size_t, const BatchLaneResult&)>& on_done,
+    uint64_t hang_check_from) {
   const int lanes = sim_.lanes();
   obs::Span span("testbench.batch_stream", "axis");
   span.arg("design", sim_.design().name())
@@ -148,6 +190,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
       static_cast<size_t>(lanes));
   std::vector<std::unique_ptr<SinkDriver>> sinks(static_cast<size_t>(lanes));
   std::vector<std::unique_ptr<Monitor>> monitors(static_cast<size_t>(lanes));
+  std::vector<HangWatch> watches(static_cast<size_t>(lanes));
   std::vector<size_t> job_of(static_cast<size_t>(lanes), 0);
   std::vector<size_t> want(static_cast<size_t>(lanes), 0);
   std::vector<char> active(static_cast<size_t>(lanes), 0);
@@ -163,6 +206,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     sources[sl] = std::make_unique<SourceDriver>(sim_.lane(l));
     sinks[sl] = std::make_unique<SinkDriver>(sim_.lane(l));
     monitors[sl] = std::make_unique<Monitor>(sim_.lane(l));
+    watches[sl].arm(hang_check_from);
     for (const idct::Block& b : jobs[job_of[sl]].inputs)
       sources[sl]->queue(b);
     want[sl] = jobs[job_of[sl]].inputs.size();
@@ -190,13 +234,14 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
   }
   next = std::min(static_cast<size_t>(lanes), jobs.size());
 
-  auto finish_lane = [&](int l, bool hung) {
+  auto finish_lane = [&](int l, LaneEnd end) {
     const size_t sl = static_cast<size_t>(l);
     const size_t j = job_of[sl];
     BatchLaneResult& r = results[j];
     r.matrices = sinks[sl]->matrices();
     r.clean = monitors[sl]->clean();
-    r.hung = hung;
+    r.hung = end != LaneEnd::kDone;
+    r.hang_proven = end == LaneEnd::kHangProven;
     // Same read point as the scalar campaign's post-run detector reads:
     // the settled state right after the lane's final step.
     r.probes.reserve(probes.size());
@@ -227,7 +272,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     for (int l = 0; l < lanes; ++l)
       if (active[static_cast<size_t>(l)] &&
           sim_.lane_cycle(l) >= max_cycles)
-        finish_lane(l, true);
+        finish_lane(l, LaneEnd::kWatchdog);
     // Refill: once at least half the live lanes sit idle (or nothing is
     // left running), every idle lane restarts on the next pending job, in
     // ascending lane order — deterministic at any lane count.
@@ -272,8 +317,11 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     sim_.step_all();
     for (int l = 0; l < lanes; ++l) {
       const size_t sl = static_cast<size_t>(l);
-      if (active[sl] && sinks[sl]->matrices().size() >= want[sl])
-        finish_lane(l, false);
+      if (!active[sl]) continue;
+      if (sinks[sl]->matrices().size() >= want[sl])
+        finish_lane(l, LaneEnd::kDone);
+      else if (watches[sl].repeats(sim_, l, *sources[sl], *sinks[sl]))
+        finish_lane(l, LaneEnd::kHangProven);
     }
   }
 

@@ -222,14 +222,15 @@ Outcome classify_result(const workload::WorkloadSpec& spec,
 
 /// Classify one lane-group of sites in a single batched sweep: `count`
 /// sites from `sites[from]`, one per lane, every lane streaming the same
-/// input set.
-void classify_group(sim::BatchSimulator& bsim,
-                    const workload::WorkloadSpec& spec,
-                    const std::vector<FaultSite>& sites, size_t from,
-                    int count, const std::vector<idct::Block>& inputs,
-                    const std::vector<idct::Block>& golden,
-                    const std::vector<NodeId>& detector_ids,
-                    const CampaignOptions& options, Outcome* out) {
+/// input set. Returns how many of the group's hangs were proven early.
+int classify_group(sim::BatchSimulator& bsim,
+                   const workload::WorkloadSpec& spec,
+                   const std::vector<FaultSite>& sites, size_t from,
+                   int count, const std::vector<idct::Block>& inputs,
+                   const std::vector<idct::Block>& golden,
+                   const std::vector<NodeId>& detector_ids,
+                   const CampaignOptions& options, uint64_t hang_check_from,
+                   Outcome* out) {
   const int lanes = bsim.lanes();
   for (int l = 0; l < lanes; ++l) {
     if (l < count)
@@ -241,13 +242,19 @@ void classify_group(sim::BatchSimulator& bsim,
       static_cast<size_t>(lanes));
   for (int l = 0; l < count; ++l) lane_inputs[static_cast<size_t>(l)] = inputs;
   axis::BatchStreamTestbench tb(bsim);
-  const auto results = tb.run(lane_inputs, options.max_cycles, detector_ids);
+  const auto results = tb.run(lane_inputs, options.max_cycles, detector_ids,
+                              hang_check_from);
   if (obs::enabled())
     obs::registry()
         .counter("fault.lanes_masked")
         ->add(tb.lanes_masked_early());
-  for (int l = 0; l < count; ++l)
-    out[l] = classify_result(spec, golden, results[static_cast<size_t>(l)]);
+  int proven = 0;
+  for (int l = 0; l < count; ++l) {
+    const axis::BatchLaneResult& r = results[static_cast<size_t>(l)];
+    out[l] = classify_result(spec, golden, r);
+    proven += r.hang_proven;
+  }
+  return proven;
 }
 
 void count_outcome(Outcome outcome, CampaignCounts* counts) {
@@ -307,9 +314,14 @@ CampaignReport run_campaign(const Design& d,
   if (options.deadline) sim->set_deadline(options.deadline);
   const std::shared_ptr<const void> plan_before = d.cached_exec_plan();
   std::vector<idct::Block> reference;
+  // The fault-free run length is where the batched loops start proving
+  // hangs (axis::HangWatch): a lane still running past it is the only hang
+  // candidate, and checking earlier would only cost time.
+  uint64_t hang_check_from = 0;
   {
     axis::StreamTestbench tb(*sim);
     reference = tb.run(inputs, options.max_cycles);
+    hang_check_from = tb.timing().total_cycles;
   }
   report.reference_functional =
       workload::diff_outputs(spec, model, reference) == 0;
@@ -319,6 +331,8 @@ CampaignReport run_campaign(const Design& d,
   const std::vector<std::string> detectors = detector_ports(d);
   const int total = static_cast<int>(sites.size());
   ProgressGuard progress_guard;
+  // Hangs proven by a state repeat; every other hang ran to the watchdog.
+  std::atomic<int> hangs_proven{0};
 
   if (batched) {
     // Lane-batched loops: a single worker streams every site through one
@@ -360,13 +374,15 @@ CampaignReport run_campaign(const Design& d,
           [&](size_t job, const axis::BatchLaneResult& r) {
             outcomes[job] = classify_result(spec, golden, r);
             count_outcome(outcomes[job], &report.counts);
+            hangs_proven += r.hang_proven;
             ++completed;
             if (options.progress_every > 0 &&
                 completed % options.progress_every == 0)
               report_progress(options,
                               {d.name(), completed, total, report.counts},
                               &progress_guard);
-          });
+          },
+          hang_check_from);
       if (obs::enabled())
         obs::registry()
             .counter("fault.lane_refills")
@@ -388,8 +404,9 @@ CampaignReport run_campaign(const Design& d,
         const size_t from = static_cast<size_t>(g) *
                             static_cast<size_t>(lanes);
         const int count = std::min(lanes, total - static_cast<int>(from));
-        classify_group(*bsim, spec, sites, from, count, inputs, golden,
-                       detector_ids, options, outcomes.data() + from);
+        hangs_proven += classify_group(*bsim, spec, sites, from, count,
+                                       inputs, golden, detector_ids, options,
+                                       hang_check_from, outcomes.data() + from);
         for (int l = 0; l < count; ++l) {
           switch (outcomes[from + static_cast<size_t>(l)]) {
             case Outcome::kMasked: ++masked; break;
@@ -488,6 +505,12 @@ CampaignReport run_campaign(const Design& d,
   }
 
   report.progress_error = progress_guard.error;
+  if (obs::enabled()) {
+    obs::Registry& reg = obs::registry();
+    reg.counter("fault.hang_early")->add(hangs_proven.load());
+    reg.counter("fault.hang_timeout")
+        ->add(report.counts.hang - hangs_proven.load());
+  }
   if (options.engine == sim::EngineKind::kCompiled)
     HLSHC_CHECK(d.cached_exec_plan().get() == plan_before.get(),
                 "ExecPlan for '" << d.name()
@@ -502,7 +525,8 @@ CampaignReport run_campaign(const Design& d,
                   {"masked", std::to_string(report.counts.masked)},
                   {"sdc", std::to_string(report.counts.sdc)},
                   {"detected", std::to_string(report.counts.detected)},
-                  {"hang", std::to_string(report.counts.hang)}});
+                  {"hang", std::to_string(report.counts.hang)},
+                  {"hang_early", std::to_string(hangs_proven.load())}});
   return report;
 }
 

@@ -11,7 +11,9 @@
 //              protocol monitor recorded a violation (wrong data, but the
 //              system knows);
 //   hang     — the watchdog fired (sim::SimTimeout): the fault wedged the
-//              TVALID/TREADY handshake.
+//              TVALID/TREADY handshake. The lane-batched loops also end a
+//              run as a hang once its full state exactly repeats
+//              (axis::HangWatch) — the watchdog's verdict, proven early.
 //
 // The golden reference is the C model when the fault-free design is
 // bit-exact against it (every shipped flow is), and the design's own

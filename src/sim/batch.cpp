@@ -157,6 +157,34 @@ BitVec BatchSimulator::value(int lane, NodeId id) const {
   return BitVec(design_.node(id).width, value_i64(lane, id));
 }
 
+void BatchSimulator::lane_state(int lane, std::vector<int64_t>& out) const {
+  HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
+              "state read on retired lane " << lane);
+  const size_t L = static_cast<size_t>(active_);
+  const size_t p = static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
+  for (const RegCommit& rc : plan_->reg_commits())
+    out.push_back(state_[static_cast<size_t>(rc.reg) * L + p]);
+  for (const LaneVec& mem : mem_)
+    for (size_t w = p; w < mem.size(); w += L) out.push_back(mem[w]);
+  for (NodeId in : design_.inputs())
+    out.push_back(values_[static_cast<size_t>(in) * L + p]);
+}
+
+bool BatchSimulator::timed_fault_pending(int lane) const {
+  const LaneFault& f = faults_[static_cast<size_t>(lane)];
+  switch (f.kind) {
+    case LaneFault::Kind::kSeuReg:
+    case LaneFault::Kind::kSeuMem:
+      return !seu_fired_[static_cast<size_t>(lane)];
+    case LaneFault::Kind::kTransient:
+      // Applied in the settles of sweep cycle f.cycle; once the clock has
+      // moved past it no later settle sees the flip.
+      return cycle_ <= f.cycle;
+    default:
+      return false;
+  }
+}
+
 // ---- execution -------------------------------------------------------------
 
 StreamKernelFn select_stream_kernel(int lanes) {

@@ -163,6 +163,19 @@ class BatchSimulator {
     return retired_[static_cast<size_t>(lane)] != 0;
   }
 
+  /// Appends one lane's full simulation state to `out`: every register,
+  /// every memory word, then the value each input port holds (a port the
+  /// harness leaves unpoked keeps its last value into the next settle).
+  /// Together with the harness's driver state and an armed fault that is
+  /// no longer timed (see timed_fault_pending), this fixes the lane's whole
+  /// future — the key axis::HangWatch compares to prove a hang.
+  void lane_state(int lane, std::vector<int64_t>& out) const;
+
+  /// True while the lane's armed fault still depends on the clock: an SEU
+  /// that has not flipped yet, or a transient whose cycle has not passed.
+  /// Stuck-at faults act the same on every cycle and are never pending.
+  bool timed_fault_pending(int lane) const;
+
   /// Wall-clock budget shared by all lanes; nullptr (default) disarms.
   void set_deadline(std::shared_ptr<const Deadline> deadline) {
     deadline_ = std::move(deadline);

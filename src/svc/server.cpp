@@ -6,6 +6,8 @@
 #include <ostream>
 #include <utility>
 
+#include "axis/testbench.hpp"
+#include "base/strings.hpp"
 #include "chisel/designs.hpp"
 #include "core/evaluate.hpp"
 #include "fault/campaign.hpp"
@@ -427,10 +429,28 @@ Json Server::handle_compile(const Request& req,
   return result;
 }
 
+namespace {
+
+/// evaluate and campaign stream matrices through the design's AXI-Stream
+/// ports; a design without them (a raw kernel) is a request the server
+/// cannot serve, refused before any compile or testbench.
+void require_stream_ports(const netlist::Design& design) {
+  const std::vector<std::string> missing = axis::missing_stream_ports(design);
+  if (!missing.empty())
+    throw ProtocolError(ErrorCode::kInvalidRequest,
+                        "design '" + design.name() +
+                            "' lacks the AXI-Stream ports a testbench "
+                            "drives: " +
+                            join(missing, ", "));
+}
+
+}  // namespace
+
 Json Server::handle_evaluate(const Request& req,
                              const std::shared_ptr<const Deadline>& deadline) {
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
   const netlist::Design design = build_design(req.params);
+  require_stream_ports(design);
   if (deadline) deadline->check("evaluate of '" + design.name() + "' (built)");
   // The same decomposition as tools::evaluate_design — compile through the
   // canonical pipeline (memoized), then the Section III.C measurement — so
@@ -465,6 +485,7 @@ Json Server::handle_campaign(const Request& req,
                              const std::shared_ptr<const Deadline>& deadline) {
   const workload::WorkloadSpec& spec = resolve_workload(req.params);
   const netlist::Design design = build_design(req.params);
+  require_stream_ports(design);
   if (deadline) deadline->check("campaign on '" + design.name() + "' (built)");
   const CachedCompile compiled =
       cache_.get_or_compile(design, compile_options(req.params, deadline));
@@ -659,6 +680,12 @@ Json Server::handle_stats() const {
               Json::number(reg.counter("sim.batch.lanes")->value()));
     batch.set("lanes_masked",
               Json::number(reg.counter("fault.lanes_masked")->value()));
+    // Campaign hangs by how they ended: proven by a state repeat, or run
+    // to the watchdog. The two sum to every hang classified.
+    batch.set("hang_early",
+              Json::number(reg.counter("fault.hang_early")->value()));
+    batch.set("hang_timeout",
+              Json::number(reg.counter("fault.hang_timeout")->value()));
     result.set("batch", std::move(batch));
     // Rewrite-pass passthrough: how much work the narrow pass is actually
     // doing across this process's compiles (0/0 when narrowing is off or

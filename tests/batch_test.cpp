@@ -19,14 +19,21 @@
 //   5. core::evaluate_axis_design with lanes > 1 agrees with the scalar
 //      evaluation;
 //   6. concurrent ExecPlan::for_design first use (the TSan target) and the
-//      batch utilization counters.
+//      batch utilization counters;
+//   7. exact hang proofs (axis::HangWatch) on hand-built netlists: proven
+//      early exactly where the watchdog would fire, never on a lane that
+//      delivers later, never before a timed fault has fired.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "axis/batch.hpp"
+#include "axis/stream.hpp"
+#include "axis/testbench.hpp"
 #include "base/rng.hpp"
 #include "core/evaluate.hpp"
 #include "fault/campaign.hpp"
@@ -390,12 +397,12 @@ TEST(BatchCampaign, BitwiseIdenticalAcrossLanesAndJobs) {
 }
 
 TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
-  // Hang sites are where the streaming refill earns its keep: a lane that
-  // runs to its cycle budget frees up late, and the refill logic must slot
-  // fresh sites into the other lanes without perturbing anyone's clock.
-  // A tight cycle budget turns a good fraction of stuck-at sites into
-  // hangs; the streamed lanes=8 jobs=1 path must classify every site
-  // exactly as the scalar path does.
+  // Hang sites are where the streaming refill and the hang proof earn
+  // their keep: a hung lane is proven early (or frees up late at the
+  // watchdog), and the refill logic must slot fresh sites into the other
+  // lanes without perturbing anyone's clock. A tight cycle budget turns a
+  // good fraction of stuck-at sites into hangs; every batched {lanes, jobs}
+  // path must classify every site exactly as the scalar timeout path does.
   const Design d = rtl::build_verilog_opt2();
   const workload::WorkloadSpec& spec =
       workload::Registry::instance().get("idct");
@@ -415,9 +422,32 @@ TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
   ASSERT_LT(scalar.counts.hang, static_cast<int>(sites.size()))
       << "budget too tight: every site hangs";
 
-  opts.lanes = 8;
-  const fault::CampaignReport batched = fault::run_campaign(d, spec, sites, opts);
-  expect_reports_equal(scalar, batched, "hang-heavy lanes=8 jobs=1");
+  obs::set_enabled(true);
+  obs::Registry& reg = obs::registry();
+  for (int lanes : {1, 2, 8, 32}) {
+    for (int jobs : {1, 4}) {
+      const int64_t early0 = reg.counter("fault.hang_early")->value();
+      const int64_t timeout0 = reg.counter("fault.hang_timeout")->value();
+      opts.lanes = lanes;
+      opts.jobs = jobs;
+      const fault::CampaignReport batched =
+          fault::run_campaign(d, spec, sites, opts);
+      const std::string what = "hang-heavy lanes=" + std::to_string(lanes) +
+                               " jobs=" + std::to_string(jobs);
+      expect_reports_equal(scalar, batched, what);
+      const int64_t early = reg.counter("fault.hang_early")->value() - early0;
+      const int64_t timeout =
+          reg.counter("fault.hang_timeout")->value() - timeout0;
+      EXPECT_EQ(early + timeout, batched.counts.hang) << what;
+      // The scalar engine keeps its watchdog (it stays the oracle); the
+      // batched loops prove these hangs long before the budget.
+      if (lanes == 1)
+        EXPECT_EQ(early, 0) << what;
+      else
+        EXPECT_GT(early, 0) << what;
+    }
+  }
+  obs::set_enabled(false);
 }
 
 TEST(BatchCampaign, EveryRegisteredWorkloadClassifiesIdentically) {
@@ -507,6 +537,336 @@ TEST(BatchInfra, UtilizationCountersTrackSweepsAndLanes) {
   EXPECT_GE(obs::registry().counter("sim.batch.sweeps")->value(), sweeps0 + 1);
   EXPECT_GE(obs::registry().counter("sim.batch.lanes")->value(), lanes0 + 12);
   EXPECT_GE(obs::registry().counter("fault.lanes_masked")->value(), masked0);
+}
+
+// ---- 7. exact hang proofs ---------------------------------------------------
+
+/// Canonical-port echo (12-bit input lanes truncated to the 9-bit output
+/// lanes, one cycle late) whose stream runs only while the 1-bit node
+/// `gate(d)` builds is high: it gates s_tready and m_tvalid.
+Design gated_echo(const std::string& name,
+                  const std::function<NodeId(Design&)>& gate) {
+  Design d(name);
+  const NodeId svalid = d.input("s_tvalid", 1);
+  const NodeId slast = d.input("s_tlast", 1);
+  std::vector<NodeId> lanes;
+  for (int c = 0; c < axis::kLanes; ++c)
+    lanes.push_back(d.input(axis::lane_port("s", c), axis::kInElemWidth));
+  d.input("m_tready", 1);
+  const NodeId go = gate(d);
+  d.output("s_tready", go);
+  const NodeId vreg = d.reg(1, 0, "v");
+  d.set_reg_next(vreg, d.band(svalid, go, 1));
+  const NodeId lreg = d.reg(1, 0, "l");
+  d.set_reg_next(lreg, slast);
+  for (int c = 0; c < axis::kLanes; ++c) {
+    const NodeId r = d.reg(axis::kOutElemWidth, 0, "d" + std::to_string(c));
+    d.set_reg_next(r, d.slice(lanes[static_cast<size_t>(c)],
+                              axis::kOutElemWidth - 1, 0));
+    d.output(axis::lane_port("m", c), r);
+  }
+  d.output("m_tvalid", d.band(vreg, go, 1));
+  d.output("m_tlast", lreg);
+  return d;
+}
+
+/// Echo that halts while the 2-bit FSM register "st" is nonzero; st holds
+/// its value through an XOR with zero (a combinational node a transient
+/// can hit). With `spin_bits` > 0 a free-running counter of that many
+/// bits, read by nothing, makes a halted lane periodic instead of a fixed
+/// point.
+Design wedgeable_echo(int64_t st_init, int spin_bits) {
+  return gated_echo("wedgeable_echo", [&](Design& d) {
+    const NodeId st = d.reg(2, st_init, "st");
+    d.set_reg_next(st, d.bxor(st, d.constant(2, 0), 2));
+    if (spin_bits > 0) {
+      const NodeId spin = d.reg(spin_bits, 0, "spin");
+      d.set_reg_next(spin, d.add(spin, d.constant(spin_bits, 1), spin_bits));
+    }
+    return d.eq(st, d.constant(2, 0));
+  });
+}
+
+/// Echo that idles until its 8-bit "delay" register has counted up to 40,
+/// then streams. An SEU on bit 7 early on restarts the count from above 128
+/// so it wraps first: a long idle past the fault-free run length, with
+/// state that never repeats, before the lane delivers.
+Design slow_start_echo() {
+  return gated_echo("slow_start_echo", [](Design& d) {
+    const NodeId delay = d.reg(8, 0, "delay");
+    const NodeId go = d.eq(delay, d.constant(8, 40));
+    d.set_reg_next(delay,
+                   d.mux(go, delay, d.add(delay, d.constant(8, 1), 8), 8));
+    return go;
+  });
+}
+
+NodeId node_named(const Design& d, const std::string& name) {
+  for (size_t i = 0; i < d.node_count(); ++i)
+    if (d.node(static_cast<NodeId>(i)).name == name)
+      return static_cast<NodeId>(i);
+  ADD_FAILURE() << "no node named " << name;
+  return netlist::kInvalidNode;
+}
+
+std::vector<idct::Block> hang_inputs() {
+  return fault::ieee1180_input_set(2, 17);
+}
+
+/// Cycles of the fault-free run of `inputs` on `d` — the check start a
+/// campaign derives from its reference run.
+uint64_t fault_free_cycles(const Design& d,
+                           const std::vector<idct::Block>& inputs) {
+  sim::CompiledSimulator sim(d);
+  axis::StreamTestbench tb(sim);
+  tb.run(inputs);
+  return tb.timing().total_cycles;
+}
+
+/// Runs `fault` on lane 1 of a 3-lane group (fault-free neighbours)
+/// through both batched loops — run_jobs (the streaming campaign loop) and
+/// run (the lane-group loop) — with hang checks from `check_from`.
+std::vector<axis::BatchLaneResult> through_both_loops(
+    const Design& d, const sim::LaneFault& fault, uint64_t max_cycles,
+    uint64_t check_from) {
+  const std::vector<idct::Block> inputs = hang_inputs();
+  std::vector<axis::BatchLaneResult> out;
+  {
+    sim::BatchSimulator bsim(d, 3);
+    axis::BatchStreamTestbench tb(bsim);
+    std::vector<axis::BatchStreamTestbench::Job> jobs(3);
+    for (auto& job : jobs) job.inputs = inputs;
+    jobs[1].fault = fault;
+    out.push_back(tb.run_jobs(jobs, max_cycles, {}, {}, check_from)[1]);
+  }
+  {
+    sim::BatchSimulator bsim(d, 3);
+    bsim.arm_lane_fault(1, fault);
+    axis::BatchStreamTestbench tb(bsim);
+    out.push_back(tb.run({inputs, inputs, inputs}, max_cycles, {},
+                         check_from)[1]);
+  }
+  return out;
+}
+
+/// The scalar oracle (lanes = 1: the watchdog path) against the batched
+/// campaign loops at jobs 1 and 4, run log bitwise.
+void expect_campaign_parity(const Design& d,
+                            const std::vector<fault::FaultSite>& sites,
+                            uint64_t max_cycles, fault::Outcome want) {
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
+  fault::CampaignOptions opts;
+  opts.matrices = 2;
+  opts.input_seed = 17;
+  opts.max_cycles = max_cycles;
+  opts.keep_runs = true;
+  opts.progress_every = 0;
+  opts.lanes = 1;
+  opts.jobs = 1;
+  const fault::CampaignReport scalar = fault::run_campaign(d, spec, sites, opts);
+  ASSERT_EQ(scalar.runs.size(), sites.size());
+  for (const fault::RunRecord& run : scalar.runs)
+    EXPECT_EQ(run.outcome, want) << d.name() << ' ' << run.site.to_string();
+  opts.lanes = 8;
+  for (int jobs : {1, 4}) {
+    opts.jobs = jobs;
+    expect_reports_equal(scalar, fault::run_campaign(d, spec, sites, opts),
+                         d.name() + " jobs=" + std::to_string(jobs));
+  }
+}
+
+sim::LaneFault seu(NodeId reg, int bit, uint64_t cycle) {
+  sim::LaneFault f;
+  f.kind = sim::LaneFault::Kind::kSeuReg;
+  f.node = reg;
+  f.bit = bit;
+  f.cycle = cycle;
+  return f;
+}
+
+fault::FaultSite seu_site(NodeId reg, int bit, uint64_t cycle) {
+  fault::FaultSite s;
+  s.kind = fault::FaultKind::kSeuReg;
+  s.node = reg;
+  s.bit = bit;
+  s.cycle = cycle;
+  return s;
+}
+
+TEST(HangProof, WedgedFsmIsProvenAtTheFirstCheck) {
+  // st flips to 1 mid-stream and holds: a fixed point (period 1), proven
+  // one cycle after checks start instead of at the 1000-cycle watchdog.
+  const Design d = wedgeable_echo(0, 0);
+  const uint64_t from = fault_free_cycles(d, hang_inputs());
+  for (const axis::BatchLaneResult& r :
+       through_both_loops(d, seu(node_named(d, "st"), 0, 5), 1000, from)) {
+    EXPECT_TRUE(r.hung);
+    EXPECT_TRUE(r.hang_proven);
+    EXPECT_EQ(r.timing.total_cycles, from + 1);
+  }
+  expect_campaign_parity(d, {seu_site(node_named(d, "st"), 0, 5)}, 1000,
+                         fault::Outcome::kHang);
+}
+
+TEST(HangProof, FreeRunningModEightCounterIsProvenEarly) {
+  // The same wedge with a 3-bit counter running: the lane is periodic with
+  // period 8, and Brent's snapshot (re-anchored at distances 1, 2, 4, 8)
+  // meets it within two laps.
+  const Design d = wedgeable_echo(0, 3);
+  const uint64_t from = fault_free_cycles(d, hang_inputs());
+  for (const axis::BatchLaneResult& r :
+       through_both_loops(d, seu(node_named(d, "st"), 1, 5), 1000, from)) {
+    EXPECT_TRUE(r.hung);
+    EXPECT_TRUE(r.hang_proven);
+    EXPECT_GT(r.timing.total_cycles, from + 8);
+    EXPECT_LE(r.timing.total_cycles, from + 16);
+  }
+  expect_campaign_parity(d, {seu_site(node_named(d, "st"), 1, 5)}, 1000,
+                         fault::Outcome::kHang);
+}
+
+TEST(HangProof, SlowStartThatDeliversIsNeverCalledHung) {
+  // The SEU sends the delay counter the long way round: ~160 idle cycles
+  // past the fault-free run length, every one a new state, then delivery.
+  const Design d = slow_start_echo();
+  const uint64_t from = fault_free_cycles(d, hang_inputs());
+  for (const axis::BatchLaneResult& r :
+       through_both_loops(d, seu(node_named(d, "delay"), 7, 5), 1000, from)) {
+    EXPECT_FALSE(r.hung);
+    EXPECT_EQ(r.matrices.size(), 2u);
+    EXPECT_GT(r.timing.total_cycles, from + 100);
+  }
+  // Delivered late but intact: the same outputs as the fault-free run.
+  expect_campaign_parity(d, {seu_site(node_named(d, "delay"), 7, 5)}, 1000,
+                         fault::Outcome::kMasked);
+}
+
+TEST(HangProof, TimedFaultIsNotCheckedBeforeItFires) {
+  // st starts wedged, so the lane sits at a fixed point from cycle 1 — but
+  // a late SEU (or a transient on the hold path) clears st at cycle 200
+  // and the lane then delivers. Checks armed from cycle 0 must wait for
+  // the fault; without one the same lane is proven hung at once.
+  const Design d = wedgeable_echo(1, 0);
+  sim::LaneFault transient;
+  transient.kind = sim::LaneFault::Kind::kTransient;
+  transient.node = d.node(node_named(d, "st")).operands[0];  // the hold XOR
+  transient.bit = 0;
+  transient.cycle = 200;
+  for (const sim::LaneFault& late : {seu(node_named(d, "st"), 0, 200),
+                                     transient}) {
+    for (const axis::BatchLaneResult& r :
+         through_both_loops(d, late, 1000, 0)) {
+      EXPECT_FALSE(r.hung);
+      EXPECT_EQ(r.matrices.size(), 2u);
+      EXPECT_GT(r.timing.total_cycles, 200u);
+    }
+  }
+  for (const axis::BatchLaneResult& r :
+       through_both_loops(d, sim::LaneFault{}, 1000, 0)) {
+    EXPECT_TRUE(r.hang_proven);
+    EXPECT_LT(r.timing.total_cycles, 8u);
+  }
+}
+
+TEST(HangProof, SinkBackpressurePhaseIsPartOfTheKey) {
+  // A DUT that waits on the sink: s_tready is m_tready, and every register
+  // only moves on a ready cycle. Under 3-of-4 stall back-pressure the
+  // design, its inputs, the source and the delivered count all stand still
+  // across the stalled cycles — only the sink's phase moves. A key without
+  // the phase would call that a repeat; the watch must not.
+  Design d("ready_gated_echo");
+  const NodeId svalid = d.input("s_tvalid", 1);
+  const NodeId slast = d.input("s_tlast", 1);
+  std::vector<NodeId> lanes;
+  for (int c = 0; c < axis::kLanes; ++c)
+    lanes.push_back(d.input(axis::lane_port("s", c), axis::kInElemWidth));
+  const NodeId mready = d.input("m_tready", 1);
+  d.output("s_tready", mready);
+  const NodeId vreg = d.reg(1, 0, "v");
+  d.set_reg_next(vreg, svalid, mready);
+  const NodeId lreg = d.reg(1, 0, "l");
+  d.set_reg_next(lreg, slast, mready);
+  for (int c = 0; c < axis::kLanes; ++c) {
+    const NodeId r = d.reg(axis::kOutElemWidth, 0, "d" + std::to_string(c));
+    d.set_reg_next(r,
+                   d.slice(lanes[static_cast<size_t>(c)],
+                           axis::kOutElemWidth - 1, 0),
+                   mready);
+    d.output(axis::lane_port("m", c), r);
+  }
+  d.output("m_tvalid", vreg);
+  d.output("m_tlast", lreg);
+
+  sim::BatchSimulator bsim(d, 1);
+  axis::SourceDriver source(bsim.lane(0));
+  axis::SinkDriver sink(bsim.lane(0));
+  sink.set_backpressure(3, 4);
+  for (const idct::Block& b : hang_inputs()) source.queue(b);
+  axis::HangWatch watch;
+  watch.arm(0);
+  std::vector<int64_t> prev;
+  int phase_only_repeats = 0;
+  for (int cycle = 0; cycle < 1000 && sink.matrices().size() < 2; ++cycle) {
+    source.pre_cycle();
+    sink.pre_cycle();
+    bsim.eval_all();
+    source.post_eval();
+    sink.post_eval();
+    bsim.step_all();
+    ASSERT_FALSE(watch.repeats(bsim, 0, source, sink))
+        << "false hang at cycle " << cycle;
+    std::vector<int64_t> key;
+    bsim.lane_state(0, key);
+    source.append_state(key);
+    key.push_back(static_cast<int64_t>(sink.matrices().size()));
+    phase_only_repeats += key == prev;
+    prev = std::move(key);
+  }
+  EXPECT_EQ(sink.matrices().size(), 2u);
+  EXPECT_GT(phase_only_repeats, 0)
+      << "the stalls never left the rest of the key standing";
+}
+
+TEST(HangProof, DeliveredCountIsPartOfTheKey) {
+  // A DUT that emits an 8-beat frame every 8 cycles from a free-running
+  // 3-bit counter and never accepts input: its registers, inputs and the
+  // source repeat with period 8, and only the delivered count moves. A key
+  // without the count would call that a hang before the quota is met.
+  Design d("spontaneous_frames");
+  for (int c = 0; c < axis::kLanes; ++c)
+    d.input(axis::lane_port("s", c), axis::kInElemWidth);
+  d.input("s_tvalid", 1);
+  d.input("s_tlast", 1);
+  d.input("m_tready", 1);
+  d.output("s_tready", d.constant(1, 0));
+  const NodeId cnt = d.reg(3, 0, "cnt");
+  d.set_reg_next(cnt, d.add(cnt, d.constant(3, 1), 3));
+  d.output("m_tvalid", d.constant(1, 1));
+  d.output("m_tlast", d.eq(cnt, d.constant(3, 7)));
+  for (int c = 0; c < axis::kLanes; ++c)
+    d.output(axis::lane_port("m", c), d.zext(cnt, axis::kOutElemWidth));
+
+  sim::BatchSimulator bsim(d, 1);
+  axis::SourceDriver source(bsim.lane(0));
+  axis::SinkDriver sink(bsim.lane(0));
+  const std::vector<idct::Block> inputs = fault::ieee1180_input_set(4, 17);
+  for (const idct::Block& b : inputs) source.queue(b);
+  axis::HangWatch watch;
+  watch.arm(0);
+  for (int cycle = 0; cycle < 1000 && sink.matrices().size() < inputs.size();
+       ++cycle) {
+    source.pre_cycle();
+    sink.pre_cycle();
+    bsim.eval_all();
+    source.post_eval();
+    sink.post_eval();
+    bsim.step_all();
+    if (sink.matrices().size() < inputs.size())
+      ASSERT_FALSE(watch.repeats(bsim, 0, source, sink))
+          << "false hang at cycle " << cycle;
+  }
+  EXPECT_EQ(sink.matrices().size(), inputs.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetlistBatchDiff,

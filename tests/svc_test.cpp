@@ -801,6 +801,32 @@ TEST(Server, StatsReportsBatchUtilizationWithMetricsOn) {
   EXPECT_GE(batch->find("sweeps")->as_int(), 1);
   EXPECT_GE(batch->find("lane_runs")->as_int(), 8);
   EXPECT_GE(batch->find("lanes_masked")->as_int(), 0);
+  // Every hang ended one of two ways; the two counters cover them all.
+  EXPECT_GE(batch->find("hang_early")->as_int(), 0);
+  EXPECT_GE(batch->find("hang_timeout")->as_int(), 0);
+}
+
+TEST(Server, StreamMethodsOnAPortlessDesignAreInvalidRequest) {
+  // The raw kernels compile fine but have no AXI-Stream ports: evaluate and
+  // campaign refuse them as the client's mistake, naming what is missing,
+  // instead of leaking the testbench's internal check.
+  Server server(small_server());
+  call_ok(server,
+          R"({"method":"compile","params":{"design":"idct.rtl_kernel"}})");
+  for (const char* method : {"evaluate", "campaign"}) {
+    const Json response = Json::parse(server.handle(
+        std::string(R"({"method":")") + method +
+        R"(","params":{"design":"idct.rtl_kernel"}})"));
+    ASSERT_FALSE(response.find("ok")->as_bool()) << method;
+    const Json* error = response.find("error");
+    EXPECT_EQ(error->find("code")->as_string(), "invalid_request") << method;
+    const std::string message = error->find("message")->as_string();
+    EXPECT_NE(message.find("s_tvalid"), std::string::npos) << message;
+    EXPECT_NE(message.find("m_tready"), std::string::npos) << message;
+  }
+  // A stream design still serves both methods.
+  call_ok(server,
+          R"({"method":"evaluate","params":{"design":"idct.verilog_opt2"}})");
 }
 
 TEST(Server, CompileAcceptsSchedulerAndNarrowingKnobs) {
