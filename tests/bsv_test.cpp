@@ -168,6 +168,13 @@ struct BsvCase {
   double periodicity;
 };
 
+// Print the case by value: gtest's default dump shows the raw bytes, label
+// pointer included, which changes with every process's load address and so
+// would make the discovered test names differ from build to build.
+void PrintTo(const BsvCase& c, std::ostream* os) {
+  *os << "T_L=" << c.latency << " T_P=" << c.periodicity;
+}
+
 class BsvFamily : public ::testing::TestWithParam<BsvCase> {};
 
 TEST_P(BsvFamily, BitExactAgainstSoftwareModel) {

@@ -137,6 +137,13 @@ struct ChiselCase {
   int latency;
 };
 
+// Print the case by value: gtest's default dump shows the raw bytes, label
+// pointer included, which changes with every process's load address and so
+// would make the discovered test names differ from build to build.
+void PrintTo(const ChiselCase& c, std::ostream* os) {
+  *os << "T_L=" << c.latency;
+}
+
 class ChiselFamily : public ::testing::TestWithParam<ChiselCase> {};
 
 TEST_P(ChiselFamily, BitExactAgainstSoftwareModel) {

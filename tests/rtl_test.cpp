@@ -114,6 +114,13 @@ struct DesignCase {
   double periodicity;
 };
 
+// Print the case by value: gtest's default dump shows the raw bytes, label
+// pointer included, which changes with every process's load address and so
+// would make the discovered test names differ from build to build.
+void PrintTo(const DesignCase& c, std::ostream* os) {
+  *os << "T_L=" << c.latency << " T_P=" << c.periodicity;
+}
+
 class VerilogFamily : public ::testing::TestWithParam<DesignCase> {};
 
 TEST_P(VerilogFamily, BitExactAgainstSoftwareModel) {
