@@ -7,14 +7,16 @@
 //
 // The default IDCT set adds a stuck-at campaign on the optimized design:
 // stuck-at faults wedge the stream far more often than SEUs, so this row
-// gates the hang tail — the scalar loop runs every hang to the 20000-cycle
-// watchdog, the batched loops prove most of them early (axis::HangWatch).
+// gates the hang tail — every series proves most hangs early by exact
+// state repeat (axis::HangWatch) instead of running them to the
+// 20000-cycle watchdog.
 //
-// Each campaign runs three ways — scalar (lanes=1, jobs=1), lane-batched
-// (lanes=L, jobs=1) and batched-parallel (lanes=L, jobs=N; skipped when
-// jobs == 1) — to report the batch and pool speedups alongside the
-// classification results; the outcome counts are asserted identical across
-// all runs (the {lanes, jobs} determinism contract).
+// Each campaign runs three ways — the "scalar" series (lanes=1, jobs=1: a
+// 1-lane batch, the same lane loop at one lane), lane-batched (lanes=L,
+// jobs=1) and batched-parallel (lanes=L, jobs=N; skipped when jobs == 1) —
+// to report the lane and pool speedups alongside the classification
+// results; the outcome counts are asserted identical across all runs (the
+// {lanes, jobs} determinism contract).
 //
 // Writes BENCH_fault.json (cwd) through the obs::RunReport schema.
 //
@@ -53,7 +55,7 @@ constexpr uint64_t kSampleSeed = 2026;
 constexpr uint64_t kMaxInjectCycle = 60;  // within the 2-matrix stream window
 
 struct CampaignTiming {
-  double serial_sec = 0.0;    ///< scalar: lanes=1, jobs=1
+  double serial_sec = 0.0;    ///< "scalar": lanes=1 (1-lane batch), jobs=1
   double batched_sec = 0.0;   ///< lane-batched: lanes=L, jobs=1
   double parallel_sec = 0.0;  ///< lanes=L, jobs=N (== batched when jobs=1)
   double speedup() const {
@@ -74,17 +76,17 @@ void check_counts_equal(const hlshc::fault::CampaignCounts& a,
                         const char* what) {
   if (a.masked != b.masked || a.sdc != b.sdc || a.detected != b.detected ||
       a.hang != b.hang) {
-    std::fprintf(stderr, "FATAL: %s campaign diverged from the scalar run\n",
+    std::fprintf(stderr, "FATAL: %s campaign diverged from the 1-lane run\n",
                  what);
     std::exit(1);
   }
 }
 
-/// Runs the campaign (SEU sites, or stuck-at sites when `stuck`) scalar
-/// (lanes=1, jobs=1), lane-batched (lanes=L, jobs=1), then batched-parallel
-/// over `jobs` workers (skipped when jobs == 1), verifies the outcome
-/// counts match bit-for-bit across all three runs, and joins the final
-/// campaign with the A/P/Q axes.
+/// Runs the campaign (SEU sites, or stuck-at sites when `stuck`) at one
+/// lane (lanes=1, jobs=1), lane-batched (lanes=L, jobs=1), then
+/// batched-parallel over `jobs` workers (skipped when jobs == 1), verifies
+/// the outcome counts match bit-for-bit across all three runs, and joins
+/// the final campaign with the A/P/Q axes.
 hlshc::fault::DesignResilience measure(const hlshc::netlist::Design& d,
                                        const hlshc::workload::WorkloadSpec& spec,
                                        const hlshc::synth::NormalizedSynth& ns,
@@ -250,7 +252,7 @@ int main(int argc, char** argv) {
         c.detected,
         c.hang, format_fixed(c.vulnerability(), 4).c_str());
     std::printf(
-        "%-20s scalar %ss  batched(lanes=%d) %ss (%sx)  "
+        "%-20s 1-lane %ss  batched(lanes=%d) %ss (%sx)  "
         "parallel(jobs=%d) %ss (%sx)\n",
         "", format_fixed(timing.serial_sec, 2).c_str(), lanes,
         format_fixed(timing.batched_sec, 2).c_str(),

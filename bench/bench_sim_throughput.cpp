@@ -3,7 +3,9 @@
 // For every AXI-Stream design family, runs the same workload on both
 // engines and reports cycles/sec and node-ops/sec (simulated cycles x
 // combinational nodes evaluated per cycle), plus the compiled/interpreter
-// speedup. Two workloads per design:
+// speedup. The "compiled" (scalar) series is EngineKind::kCompiled, i.e. a
+// 1-lane sim::BatchSimulator behind the sim::Engine protocol. Two
+// workloads per design:
 //
 //   raw     — a tight step() loop with held inputs: pure engine throughput,
 //             no testbench overhead;
@@ -13,7 +15,7 @@
 // A third, lane-batched series replays the stream workload through
 // sim::BatchSimulator with the same stimulus on every lane and reports
 // aggregate lane-cycles/sec — the rate the batched fault campaigns see —
-// plus its speedup over the scalar compiled stream run.
+// plus its speedup over the 1-lane compiled stream run.
 //
 // After the timing sweep, an activity-profiled stream run over the
 // optimized Verilog IDCT prints the top-10 toggle hotspot table (identical

@@ -49,127 +49,20 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run(
   HLSHC_CHECK(static_cast<int>(inputs.size()) == lanes,
               "batch run got " << inputs.size() << " input sets for "
                                << lanes << " lanes");
-  obs::Span span("testbench.batch_run", "axis");
-  span.arg("design", sim_.design().name())
-      .arg("lanes", static_cast<int64_t>(lanes));
-
-  sim_.reset_all();
-
-  // Per-lane drivers/monitors over the lane views: the same state machines
-  // the scalar StreamTestbench uses, constructed per run for clean state.
-  std::vector<std::unique_ptr<SourceDriver>> sources;
-  std::vector<std::unique_ptr<SinkDriver>> sinks;
-  std::vector<std::unique_ptr<Monitor>> monitors;
-  std::vector<HangWatch> watches(static_cast<size_t>(lanes));
-  sources.reserve(static_cast<size_t>(lanes));
-  sinks.reserve(static_cast<size_t>(lanes));
-  monitors.reserve(static_cast<size_t>(lanes));
+  // One job per lane with stimulus, carrying the fault armed on that lane;
+  // no more jobs than lanes means no refill, so every lane runs from reset.
+  std::vector<Job> jobs;
+  std::vector<int> lane_of;
   for (int l = 0; l < lanes; ++l) {
-    sources.push_back(std::make_unique<SourceDriver>(sim_.lane(l)));
-    sinks.push_back(std::make_unique<SinkDriver>(sim_.lane(l)));
-    monitors.push_back(std::make_unique<Monitor>(sim_.lane(l)));
-    watches[static_cast<size_t>(l)].arm(hang_check_from);
+    if (inputs[static_cast<size_t>(l)].empty()) continue;
+    jobs.push_back({inputs[static_cast<size_t>(l)], sim_.lane_fault(l)});
+    lane_of.push_back(l);
   }
-
+  std::vector<BatchLaneResult> job_results =
+      run_jobs(jobs, max_cycles, probes, {}, hang_check_from);
   std::vector<BatchLaneResult> results(static_cast<size_t>(lanes));
-  std::vector<size_t> want(static_cast<size_t>(lanes), 0);
-  std::vector<char> active(static_cast<size_t>(lanes), 0);
-  // Completion cycle per lane (the iteration count at which it finished),
-  // for the masked-lane accounting below.
-  std::vector<uint64_t> done_at(static_cast<size_t>(lanes), 0);
-  int remaining = 0;
-  for (int l = 0; l < lanes; ++l) {
-    const size_t sl = static_cast<size_t>(l);
-    want[sl] = inputs[sl].size();
-    for (const idct::Block& b : inputs[sl]) sources[sl]->queue(b);
-    active[sl] = want[sl] > 0;
-    if (active[sl])
-      ++remaining;
-    else
-      sim_.retire_lane(l);  // nothing to stream: drop it from the sweep
-  }
-  const int lanes_active = remaining;
-
-  auto finish_lane = [&](int l, uint64_t cycles, LaneEnd end) {
-    const size_t sl = static_cast<size_t>(l);
-    BatchLaneResult& r = results[sl];
-    r.matrices = sinks[sl]->matrices();
-    r.clean = monitors[sl]->clean();
-    r.hung = end != LaneEnd::kDone;
-    r.hang_proven = end == LaneEnd::kHangProven;
-    // Same read point as the scalar campaign's post-run detector reads:
-    // the settled state right after the lane's final step.
-    r.probes.reserve(probes.size());
-    for (netlist::NodeId p : probes) r.probes.push_back(sim_.value_i64(l, p));
-    r.timing = derive_stream_timing(static_cast<int>(want[sl]), sim_.cycle(),
-                                    sources[sl]->matrix_start_cycles(),
-                                    sinks[sl]->matrix_end_cycles());
-    done_at[sl] = cycles;
-    active[sl] = 0;
-    --remaining;
-    // A finished lane leaves the batch entirely: the remaining sweep only
-    // pays for lanes still running, so one straggler (e.g. a hang
-    // candidate burning its whole cycle budget) degrades toward scalar
-    // cost instead of dragging `lanes` columns along.
-    sim_.retire_lane(l);
-  };
-
-  uint64_t cycles = 0;
-  bool timed_out = false;
-  while (remaining > 0) {
-    if (cycles >= max_cycles) {
-      timed_out = true;
-      for (int l = 0; l < lanes; ++l)
-        if (active[static_cast<size_t>(l)])
-          finish_lane(l, cycles, LaneEnd::kWatchdog);
-      break;
-    }
-    // One scalar-testbench cycle, in the scalar order, for every active
-    // lane: drive, settle all lanes together, consume, check, clock edge.
-    for (int l = 0; l < lanes; ++l) {
-      if (!active[static_cast<size_t>(l)]) continue;
-      sources[static_cast<size_t>(l)]->pre_cycle();
-      sinks[static_cast<size_t>(l)]->pre_cycle();
-    }
-    sim_.eval_all();
-    for (int l = 0; l < lanes; ++l) {
-      if (!active[static_cast<size_t>(l)]) continue;
-      sources[static_cast<size_t>(l)]->post_eval();
-      sinks[static_cast<size_t>(l)]->post_eval();
-      monitors[static_cast<size_t>(l)]->sample();
-    }
-    sim_.step_all();
-    ++cycles;
-    for (int l = 0; l < lanes; ++l) {
-      const size_t sl = static_cast<size_t>(l);
-      if (!active[sl]) continue;
-      if (sinks[sl]->matrices().size() >= want[sl])
-        finish_lane(l, cycles, LaneEnd::kDone);
-      else if (watches[sl].repeats(sim_, l, *sources[sl], *sinks[sl]))
-        finish_lane(l, cycles, LaneEnd::kHangProven);
-    }
-  }
-
-  // Masked lanes: finished (or never started, or proven hung) while the
-  // batch kept stepping for stragglers. Lanes the watchdog stopped all end
-  // at the final cycle and are not "masked" — they ran the whole sweep.
-  masked_early_ = 0;
-  for (int l = 0; l < lanes; ++l) {
-    const size_t sl = static_cast<size_t>(l);
-    if (want[sl] == 0) {
-      if (cycles > 0) ++masked_early_;
-    } else if (done_at[sl] < cycles) {
-      ++masked_early_;
-    }
-  }
-
-  if (obs::enabled()) {
-    obs::Registry& reg = obs::registry();
-    reg.counter("sim.batch.sweeps")->add(1);
-    reg.counter("sim.batch.lanes")->add(lanes_active);
-  }
-  span.arg("cycles", static_cast<int64_t>(cycles))
-      .arg("timed_out", timed_out ? int64_t{1} : int64_t{0});
+  for (size_t j = 0; j < jobs.size(); ++j)
+    results[static_cast<size_t>(lane_of[j])] = std::move(job_results[j]);
   return results;
 }
 
@@ -199,8 +92,8 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
   int active_count = 0;
   int idle_count = 0;
 
-  // Fresh driver/monitor state machines over the lane view, exactly as a
-  // scalar run would construct them, plus the job's stimulus queue.
+  // Fresh driver/monitor state machines over the lane view, exactly as
+  // StreamTestbench constructs them, plus the job's stimulus queue.
   auto bind_lane = [&](int l) {
     const size_t sl = static_cast<size_t>(l);
     sources[sl] = std::make_unique<SourceDriver>(sim_.lane(l));
@@ -242,8 +135,8 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     r.clean = monitors[sl]->clean();
     r.hung = end != LaneEnd::kDone;
     r.hang_proven = end == LaneEnd::kHangProven;
-    // Same read point as the scalar campaign's post-run detector reads:
-    // the settled state right after the lane's final step.
+    // Where StreamTestbench leaves an engine: the settled state right
+    // after the lane's final step.
     r.probes.reserve(probes.size());
     for (netlist::NodeId p : probes) r.probes.push_back(sim_.value_i64(l, p));
     r.timing = derive_stream_timing(static_cast<int>(want[sl]),
@@ -266,8 +159,8 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
   };
 
   while (active_count > 0 || next < jobs.size()) {
-    // Per-lane watchdog on the lane's own clock — the scalar max_cycles
-    // contract, so a hang classifies at the same budget as a scalar run
+    // Per-lane watchdog on the lane's own clock — StreamTestbench's
+    // max_cycles contract, so a hang classifies at the same budget
     // regardless of when its lane started.
     for (int l = 0; l < lanes; ++l)
       if (active[static_cast<size_t>(l)] &&
@@ -300,8 +193,8 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
       }
     }
     if (active_count == 0) continue;
-    // One scalar-testbench cycle, in the scalar order, for every active
-    // lane: drive, settle all lanes together, consume, check, clock edge.
+    // One StreamTestbench cycle, in its order, for every active lane:
+    // drive, settle all lanes together, consume, check, clock edge.
     for (int l = 0; l < lanes; ++l) {
       if (!active[static_cast<size_t>(l)]) continue;
       sources[static_cast<size_t>(l)]->pre_cycle();

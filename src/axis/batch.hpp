@@ -1,23 +1,25 @@
 // axis::BatchStreamTestbench — the lockstep lane harness over
-// sim::BatchSimulator.
+// sim::BatchSimulator, and the one lane loop every lane-batched run goes
+// through (fault campaigns at any {lanes, jobs}, lane-batched evaluation,
+// the throughput benches).
 //
 // Each lane gets its own SourceDriver / SinkDriver / Monitor instance bound
 // to that lane's PortAccess view — the *same* driver and monitor state
-// machines StreamTestbench uses for scalar engines — and all lanes advance
+// machines StreamTestbench uses for a sim::Engine — and all lanes advance
 // through one shared step_all() per cycle. Because a lane's stimulus, its
-// handshake decisions and its protocol checks run exactly the scalar code
-// over exactly the scalar per-cycle protocol, a lane's captured matrices,
-// violations and timing are bitwise-identical to the same run on a scalar
-// engine.
+// handshake decisions and its protocol checks run exactly the
+// StreamTestbench code over exactly the Engine per-cycle protocol, a lane's
+// captured matrices, violations and timing are bitwise-identical to the
+// same run on the interpreter oracle.
 //
-// Divergence handling (the "masking" of the lane-batched design): a lane is
-// done when its sink has collected its quota of matrices; done lanes stop
-// being driven and sampled (their TVALID stays low, their monitor stops
-// accumulating) and are retired from the simulator — the lane-major arrays
-// compact, so the remaining sweep only pays for the lanes still running and
-// a single straggler degrades toward scalar cost. A lane still unfinished
-// at max_cycles is flagged hung (the scalar harness throws sim::SimTimeout
-// for the same condition; campaign code maps both to the hang outcome).
+// Divergence handling: a lane is done when its sink has collected its
+// quota of matrices; done lanes stop being driven and sampled and either
+// take the next pending job (refill) or are retired from the simulator —
+// the lane-major arrays compact, so the remaining sweep only pays for the
+// lanes still running and a single straggler degrades toward 1-lane cost.
+// A lane still unfinished at max_cycles on its own clock is flagged hung
+// (StreamTestbench throws sim::SimTimeout for the same condition; campaign
+// code maps both to the hang outcome).
 //
 // Hang proof: given a check start, a lane whose full state exactly repeats
 // (HangWatch) is finished as hung on the spot instead of running on to
@@ -86,8 +88,8 @@ struct BatchLaneResult {
   /// Hung by an exact state repeat (HangWatch) before max_cycles; false
   /// for a lane the watchdog stopped.
   bool hang_proven = false;
-  /// Probe node values sampled at lane completion (same read point as the
-  /// scalar campaign's post-run detector reads), canonical int64 per probe.
+  /// Probe node values sampled at lane completion (the settled state a
+  /// StreamTestbench run ends on), canonical int64 per probe.
   std::vector<int64_t> probes;
   StreamTiming timing;
 };
@@ -96,26 +98,23 @@ class BatchStreamTestbench {
  public:
   explicit BatchStreamTestbench(sim::BatchSimulator& sim) : sim_(sim) {}
 
-  /// Push `inputs[l]` through lane l (an empty vector idles the lane);
-  /// runs until every lane collected its matrices or `max_cycles` elapse
-  /// (stragglers come back with hung=true — no exception, other lanes'
-  /// results stay valid). `probes` names nodes to sample per lane at its
-  /// completion cycle. From lane cycle `hang_check_from` on, a lane whose
-  /// state repeats (HangWatch) finishes hung at once.
+  /// Push `inputs[l]` through lane l under the fault armed on it (an empty
+  /// vector idles the lane and leaves its result default); runs until every
+  /// lane collected its matrices or `max_cycles` elapse (stragglers come
+  /// back with hung=true — no exception, other lanes' results stay valid).
+  /// `probes` names nodes to sample per lane at its completion cycle. From
+  /// lane cycle `hang_check_from` on, a lane whose state repeats
+  /// (HangWatch) finishes hung at once. One run_jobs() call with a job per
+  /// lane; lanes are disarmed as they finish.
   std::vector<BatchLaneResult> run(
       const std::vector<std::vector<idct::Block>>& inputs,
       uint64_t max_cycles,
       const std::vector<netlist::NodeId>& probes = {},
       uint64_t hang_check_from = kNoHangCheck);
 
-  /// Lanes of the last run() that completed strictly before the final
-  /// active lane (the "masked" lanes that idled while stragglers ran),
-  /// including lanes given no input at all.
-  int lanes_masked_early() const { return masked_early_; }
-
   /// One unit of streamed work: an input set plus the fault armed for its
   /// whole run (kNone = clean). Each job's result is bitwise-identical to
-  /// a scalar run of the same fault/inputs from reset.
+  /// a StreamTestbench run of the same fault/inputs from reset.
   struct Job {
     std::vector<idct::Block> inputs;
     sim::LaneFault fault;
@@ -143,7 +142,6 @@ class BatchStreamTestbench {
 
  private:
   sim::BatchSimulator& sim_;
-  int masked_early_ = 0;
   int refills_ = 0;
 };
 

@@ -26,7 +26,8 @@ DesignEvaluation evaluate_axis_design(const netlist::Design& design,
   if (batched) {
     // N independent stimulus sets per sweep: lane l streams the seed+l
     // set, so one batched run both verifies lane 0's canonical stimulus
-    // (bitwise the scalar trajectory) and widens the functional check.
+    // (bitwise the single-stimulus trajectory) and widens the functional
+    // check.
     sim::BatchSimulator bsim(design, options.lanes);
     if (options.deadline) bsim.set_deadline(options.deadline);
     axis::BatchStreamTestbench tb(bsim);
@@ -40,8 +41,8 @@ DesignEvaluation evaluate_axis_design(const netlist::Design& design,
     bool all_ok = true;
     for (int l = 0; l < options.lanes; ++l) {
       const axis::BatchLaneResult& r = results[static_cast<size_t>(l)];
-      // The scalar path propagates SimTimeout out of the testbench; keep
-      // that contract for any wedged lane.
+      // The single-stimulus path propagates SimTimeout out of the
+      // testbench; keep that contract for any wedged lane.
       if (r.hung)
         throw sim::SimTimeout("stream testbench wedged on '" + design.name() +
                                   "' (batched lane " + std::to_string(l) +

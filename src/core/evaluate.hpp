@@ -59,7 +59,7 @@ struct EvaluateOptions {
   /// one lane-batched sweep (sim::BatchSimulator); `functional` then
   /// requires every lane bit-exact and protocol-clean, while the reported
   /// T_L/T_P come from lane 0, whose trajectory (same seed, same per-cycle
-  /// protocol) is bitwise identical to the scalar run.
+  /// protocol) is bitwise identical to the single-stimulus run.
   int lanes = 1;
   synth::SynthOptions synth;
   /// Per-request wall budget (synthesis service): armed on the measurement

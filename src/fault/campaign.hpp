@@ -10,10 +10,14 @@
 //   detected — a sticky "*_err" hardening output asserted, or the AXI
 //              protocol monitor recorded a violation (wrong data, but the
 //              system knows);
-//   hang     — the watchdog fired (sim::SimTimeout): the fault wedged the
-//              TVALID/TREADY handshake. The lane-batched loops also end a
-//              run as a hang once its full state exactly repeats
+//   hang     — the fault wedged the TVALID/TREADY handshake: the run hit
+//              its watchdog budget, or its full state exactly repeated
 //              (axis::HangWatch) — the watchdog's verdict, proven early.
+//
+// Every site runs as one job of axis::BatchStreamTestbench::run_jobs over a
+// sim::BatchSimulator, whatever the {lanes, jobs} setting: one refilling
+// sweep over all sites at jobs = 1, groups of `lanes` sites sharded over a
+// par::Pool otherwise. lanes = 1 is simply a 1-lane batch.
 //
 // The golden reference is the C model when the fault-free design is
 // bit-exact against it (every shipped flow is), and the design's own
@@ -33,7 +37,6 @@
 #include "fault/model.hpp"
 #include "idct/block.hpp"
 #include "netlist/ir.hpp"
-#include "sim/engine.hpp"
 #include "synth/synthesize.hpp"
 #include "workload/workload.hpp"
 
@@ -71,10 +74,6 @@ struct CampaignOptions {
   long input_seed = 1;          ///< seed for the IEEE 1180 input generator
   uint64_t max_cycles = 20000;  ///< per-run watchdog budget
   bool keep_runs = true;        ///< record the per-run (site, outcome) log
-  /// Which simulation engine runs the campaign. The compiled engine is the
-  /// default; the differential suite asserts both engines classify every
-  /// run identically.
-  sim::EngineKind engine = sim::EngineKind::kCompiled;
   /// Progress reporting cadence in completed sites; 0 disables it. The
   /// default keeps small test campaigns (a handful of sites) silent while a
   /// 1000-site bench campaign reports every 250 sites.
@@ -90,25 +89,22 @@ struct CampaignOptions {
   /// CampaignReport::progress_error, and further callbacks are disarmed for
   /// the rest of the campaign. The outcome counts and run log are unaffected.
   std::function<void(const CampaignProgress&)> on_progress;
-  /// Worker count for the site loop. 1 (the default) runs the classic
-  /// serial loop; 0 means "all cores" (HLSHC_JOBS / hardware_concurrency);
-  /// N > 1 shards sites over a par::Pool, each worker owning one Engine
-  /// built from the shared ExecPlan. Results — counts AND the per-run log —
-  /// are bitwise identical at every jobs value: each site's classification
-  /// is a pure function of (design, site, input set).
+  /// Worker count for the site loop. 1 (the default) streams every site
+  /// through one refilling sweep; 0 means "all cores" (HLSHC_JOBS /
+  /// hardware_concurrency); N > 1 shards groups of `lanes` sites over a
+  /// par::Pool, each worker owning one sim::BatchSimulator over the shared
+  /// ExecPlan. Results — counts AND the per-run log — are bitwise identical
+  /// at every jobs value: each site's classification is a pure function of
+  /// (design, site, input set).
   int jobs = 1;
   /// Simulation lanes per instruction-stream sweep. 0 (the default) means
-  /// par::default_lanes() (HLSHC_LANES, else 32); 1 forces the classic
-  /// scalar per-site loop. With lanes > 1 and the compiled engine, sites
-  /// shard into lane-groups and each group runs as one
-  /// sim::BatchSimulator sweep — composing with `jobs` (lane-groups shard
-  /// over the pool). Classifications — counts AND the per-run log — are
-  /// bitwise identical at every {lanes, jobs} combination: each lane
-  /// replays the exact scalar per-cycle protocol. The interpreter engine
-  /// ignores this and always runs the scalar loop.
+  /// par::default_lanes() (HLSHC_LANES, else 32); 1 runs a 1-lane batch.
+  /// Classifications — counts AND the per-run log — are bitwise identical
+  /// at every {lanes, jobs} combination: each lane replays the exact
+  /// sim::Engine per-cycle protocol.
   int lanes = 0;
   /// Per-request wall budget (synthesis service): armed on every campaign
-  /// engine, so a whole campaign aborts with DeadlineExceeded mid-run
+  /// simulator, so a whole campaign aborts with DeadlineExceeded mid-run
   /// instead of overrunning its budget site by site.
   std::shared_ptr<const Deadline> deadline;
 };

@@ -35,45 +35,30 @@ std::string FaultSite::to_string() const {
   return os.str();
 }
 
+sim::LaneFault FaultSite::lane_fault() const {
+  sim::LaneFault f;
+  switch (kind) {
+    case FaultKind::kSeuReg: f.kind = sim::LaneFault::Kind::kSeuReg; break;
+    case FaultKind::kSeuMem: f.kind = sim::LaneFault::Kind::kSeuMem; break;
+    case FaultKind::kStuckAt0: f.kind = sim::LaneFault::Kind::kStuck0; break;
+    case FaultKind::kStuckAt1: f.kind = sim::LaneFault::Kind::kStuck1; break;
+    case FaultKind::kTransient:
+      f.kind = sim::LaneFault::Kind::kTransient;
+      break;
+  }
+  f.node = node;
+  f.mem = mem;
+  f.addr = addr;
+  f.bit = bit;
+  f.cycle = cycle;
+  return f;
+}
+
 void validate_site(const Design& d, const FaultSite& site) {
-  switch (site.kind) {
-    case FaultKind::kSeuReg: {
-      const Node& n = d.node(site.node);  // validates the id
-      HLSHC_CHECK(n.op == Op::Reg, "fault site " << site.to_string()
-                                                 << ": node is "
-                                                 << netlist::op_name(n.op)
-                                                 << ", not a register");
-      HLSHC_CHECK(site.bit >= 0 && site.bit < n.width,
-                  "fault site " << site.to_string() << ": bit out of width "
-                                << n.width);
-      break;
-    }
-    case FaultKind::kSeuMem: {
-      HLSHC_CHECK(site.mem >= 0 &&
-                      static_cast<size_t>(site.mem) < d.memories().size(),
-                  "fault site " << site.to_string() << ": no such memory in '"
-                                << d.name() << '\'');
-      const netlist::Memory& m = d.memories()[static_cast<size_t>(site.mem)];
-      HLSHC_CHECK(site.addr >= 0 && site.addr < m.depth,
-                  "fault site " << site.to_string() << ": address out of depth "
-                                << m.depth);
-      HLSHC_CHECK(site.bit >= 0 && site.bit < m.width,
-                  "fault site " << site.to_string() << ": bit out of width "
-                                << m.width);
-      break;
-    }
-    case FaultKind::kStuckAt0:
-    case FaultKind::kStuckAt1:
-    case FaultKind::kTransient: {
-      const Node& n = d.node(site.node);
-      HLSHC_CHECK(n.op != Op::MemWrite,
-                  "fault site " << site.to_string()
-                                << ": MemWrite probe values drive nothing");
-      HLSHC_CHECK(site.bit >= 0 && site.bit < n.width,
-                  "fault site " << site.to_string() << ": bit out of width "
-                                << n.width);
-      break;
-    }
+  try {
+    sim::validate_fault(d, site.lane_fault());
+  } catch (const Error& e) {
+    throw Error("fault site " + site.to_string() + ": " + e.what());
   }
 }
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "netlist/ir.hpp"
+#include "sim/engine.hpp"
 
 namespace hlshc::fault {
 
@@ -44,12 +45,16 @@ struct FaultSite {
   uint64_t cycle = 0;  ///< injection cycle (SEU/transient; unused: stuck-at)
 
   std::string to_string() const;
+  /// The same fault as the simulation layer arms it (sim::Engine::arm_fault,
+  /// sim::BatchSimulator::arm_lane_fault).
+  sim::LaneFault lane_fault() const;
 };
 
-/// Throws hlshc::Error unless `site` names a real location in `d`: the node
-/// must exist and be a register for kSeuReg, the memory/address must exist
-/// for kSeuMem, the bit must fit the target width, and stuck-at/transient
-/// targets must not be MemWrite sinks (whose probe value drives nothing).
+/// Throws hlshc::Error unless `site` names a real location in `d`
+/// (sim::validate_fault): the node must exist and be a register for
+/// kSeuReg, the memory/address must exist for kSeuMem, the bit must fit the
+/// target width, and stuck-at/transient targets must not be MemWrite sinks
+/// (whose probe value drives nothing).
 void validate_site(const netlist::Design& d, const FaultSite& site);
 
 /// Every register bit of `d` as an SEU site injected at `cycle`.

@@ -17,12 +17,6 @@ using netlist::RegCommit;
 
 namespace {
 
-/// Truncate to the instruction's width, then sign-extend — the same
-/// branchless canonicalization pair as CompiledSimulator's wrap().
-inline int64_t wrap(uint8_t dsh, uint64_t u) {
-  return static_cast<int64_t>(u << dsh) >> dsh;
-}
-
 inline int64_t canon(int width, int64_t v) {
   return BitVec(width, v).to_int64();
 }
@@ -82,13 +76,12 @@ PortAccess& BatchSimulator::lane(int l) {
 void BatchSimulator::restore_consts(int lane) {
   // Constants are hoisted out of the per-cycle stream; rematerialize this
   // lane's const slots so a transform armed earlier cannot outlive itself
-  // (mirrors CompiledSimulator::on_injector_changed).
+  // (the interpreter recomputes every const on every eval).
   if (retired_[static_cast<size_t>(lane)])
     return;  // the next reset_all() restores everything
-  const int p = phys_[static_cast<size_t>(lane)];
   for (const ExecInstr& in : plan_->const_instrs())
     values_[static_cast<size_t>(in.dst) * static_cast<size_t>(active_) +
-            static_cast<size_t>(p)] = in.imm;
+            col(lane)] = in.imm;
 }
 
 void BatchSimulator::revive_lanes() {
@@ -147,9 +140,8 @@ void BatchSimulator::poke_input(int lane, NodeId id, int64_t value) {
                              << design_.name() << '\'');
   HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
               "poke on retired lane " << lane);
-  const int p = phys_[static_cast<size_t>(lane)];
   values_[static_cast<size_t>(id) * static_cast<size_t>(active_) +
-          static_cast<size_t>(p)] = canon(n.width, value);
+          col(lane)] = canon(n.width, value);
   evaluated_ = false;
 }
 
@@ -157,11 +149,30 @@ BitVec BatchSimulator::value(int lane, NodeId id) const {
   return BitVec(design_.node(id).width, value_i64(lane, id));
 }
 
+int64_t BatchSimulator::mem_peek(int lane, int mem, int addr) const {
+  return mem_[static_cast<size_t>(mem)]
+             [static_cast<size_t>(addr) * static_cast<size_t>(active_) +
+              col(lane)];
+}
+
+void BatchSimulator::mem_poke(int lane, int mem, int addr, int64_t value) {
+  mem_[static_cast<size_t>(mem)]
+      [static_cast<size_t>(addr) * static_cast<size_t>(active_) + col(lane)] =
+          canon(plan_->mem_shapes()[static_cast<size_t>(mem)].width, value);
+  evaluated_ = false;
+}
+
+void BatchSimulator::snapshot_values(int lane, int64_t* out) const {
+  const size_t L = static_cast<size_t>(active_);
+  for (size_t s = 0, p = col(lane); s < plan_->slot_count(); ++s, p += L)
+    out[s] = values_[p];
+}
+
 void BatchSimulator::lane_state(int lane, std::vector<int64_t>& out) const {
   HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
               "state read on retired lane " << lane);
   const size_t L = static_cast<size_t>(active_);
-  const size_t p = static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
+  const size_t p = col(lane);
   for (const RegCommit& rc : plan_->reg_commits())
     out.push_back(state_[static_cast<size_t>(rc.reg) * L + p]);
   for (const LaneVec& mem : mem_)
@@ -202,32 +213,19 @@ StreamKernelFn select_stream_kernel(int lanes) {
 void BatchSimulator::apply_comb_entry(const CombEntry& e) {
   int64_t& v =
       values_[static_cast<size_t>(e.slot) * static_cast<size_t>(active_) +
-              static_cast<size_t>(phys_[static_cast<size_t>(e.lane)])];
-  const int64_t m = static_cast<int64_t>(uint64_t{1} << e.bit);
-  switch (e.kind) {
-    case LaneFault::Kind::kStuck0:
-      v = wrap(e.dsh, static_cast<uint64_t>(v & ~m));
-      break;
-    case LaneFault::Kind::kStuck1:
-      v = wrap(e.dsh, static_cast<uint64_t>(v | m));
-      break;
-    case LaneFault::Kind::kTransient:
-      if (cycle_ == e.cycle) v = wrap(e.dsh, static_cast<uint64_t>(v ^ m));
-      break;
-    default:
-      break;
-  }
+              col(e.lane)];
+  if (e.kind != LaneFault::Kind::kTransient || cycle_ == e.cycle)
+    v = fault_bit(e.kind, e.bit, e.width, v);
 }
 
 void BatchSimulator::eval_stream_injected() {
   // Inputs and constants have no per-cycle instruction; flagged inputs
   // transform in place, flagged constants rematerialize from the immediate
-  // and then transform (mirrors exec_stream_injected).
+  // and then transform (the interpreter's recompute-then-transform order).
   for (const CombEntry& e : comb_entries_) {
     if (e.is_const)
       values_[static_cast<size_t>(e.slot) * static_cast<size_t>(active_) +
-              static_cast<size_t>(phys_[static_cast<size_t>(e.lane)])] =
-          e.imm;
+              col(e.lane)] = e.imm;
     if (e.is_input || e.is_const) apply_comb_entry(e);
   }
   const uint8_t* flag = comb_slot_flag_.data();
@@ -280,32 +278,36 @@ void BatchSimulator::commit_all() {
   }
 }
 
-void BatchSimulator::flip_state_bit(int lane, const LaneFault& f) {
+void BatchSimulator::flip_state_bit(int lane, const LaneFault& seu) {
   const size_t L = static_cast<size_t>(active_);
-  const size_t p = static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
-  if (f.kind == LaneFault::Kind::kSeuReg) {
-    int64_t& s = state_[static_cast<size_t>(f.node) * L + p];
-    s = canon(design_.node(f.node).width,
-              s ^ static_cast<int64_t>(uint64_t{1} << f.bit));
-  } else if (f.kind == LaneFault::Kind::kSeuMem) {
-    const MemShape& shape = plan_->mem_shapes()[static_cast<size_t>(f.mem)];
-    int64_t& w =
-        mem_[static_cast<size_t>(f.mem)][static_cast<size_t>(f.addr) * L + p];
-    w = canon(shape.width, w ^ static_cast<int64_t>(uint64_t{1} << f.bit));
-  }
+  const bool reg = seu.kind == LaneFault::Kind::kSeuReg;
+  int64_t& w =
+      reg ? state_[static_cast<size_t>(seu.node) * L + col(lane)]
+          : mem_[static_cast<size_t>(seu.mem)]
+                [static_cast<size_t>(seu.addr) * L + col(lane)];
+  w = fault_bit(seu.kind, seu.bit,
+                reg ? design_.node(seu.node).width
+                    : plan_->mem_shapes()[static_cast<size_t>(seu.mem)].width,
+                w);
+  evaluated_ = false;
 }
 
 void BatchSimulator::seu_flips() {
   for (int l = 0; l < lanes_; ++l) {
     if (retired_[static_cast<size_t>(l)]) continue;
     const LaneFault& f = faults_[static_cast<size_t>(l)];
-    if (f.kind != LaneFault::Kind::kSeuReg &&
-        f.kind != LaneFault::Kind::kSeuMem)
+    if (!f.seu() || seu_fired_[static_cast<size_t>(l)] || cycle_ != f.cycle)
       continue;
-    if (seu_fired_[static_cast<size_t>(l)] || cycle_ != f.cycle) continue;
     flip_state_bit(l, f);
     seu_fired_[static_cast<size_t>(l)] = 1;
   }
+}
+
+void BatchSimulator::commit_edge() {
+  commit_all();
+  ++cycle_;
+  seu_flips();
+  evaluated_ = false;
 }
 
 void BatchSimulator::step_all() {
@@ -315,10 +317,7 @@ void BatchSimulator::step_all() {
     deadline_->check("batched simulation of design '" + design_.name() +
                      '\'');
   if (!evaluated_) eval_all();
-  commit_all();
-  ++cycle_;
-  seu_flips();
-  evaluated_ = false;
+  commit_edge();
   eval_all();
 }
 
@@ -329,10 +328,7 @@ void BatchSimulator::rebuild_comb_index() {
   for (int l = 0; l < lanes_; ++l) {
     if (retired_[static_cast<size_t>(l)]) continue;
     const LaneFault& f = faults_[static_cast<size_t>(l)];
-    if (f.kind != LaneFault::Kind::kStuck0 &&
-        f.kind != LaneFault::Kind::kStuck1 &&
-        f.kind != LaneFault::Kind::kTransient)
-      continue;
+    if (!f.combinational()) continue;
     const netlist::Node& n = design_.node(f.node);
     CombEntry e;
     e.slot = static_cast<int32_t>(f.node);
@@ -340,7 +336,7 @@ void BatchSimulator::rebuild_comb_index() {
     e.kind = f.kind;
     e.bit = f.bit;
     e.cycle = f.cycle;
-    e.dsh = static_cast<uint8_t>(64 - n.width);
+    e.width = n.width;
     e.is_input = n.op == Op::Input;
     e.is_const = n.op == Op::Const;
     e.imm = n.imm;
@@ -353,23 +349,7 @@ void BatchSimulator::rebuild_comb_index() {
 void BatchSimulator::arm_lane_fault(int lane, const LaneFault& fault) {
   HLSHC_CHECK(lane >= 0 && lane < lanes_,
               "lane " << lane << " outside [0, " << lanes_ << ')');
-  if (fault.kind != LaneFault::Kind::kNone &&
-      fault.kind != LaneFault::Kind::kSeuMem) {
-    HLSHC_CHECK(fault.node != netlist::kInvalidNode &&
-                    static_cast<size_t>(fault.node) < design_.node_count(),
-                "lane fault targets invalid node " << fault.node);
-    HLSHC_CHECK(fault.bit >= 0 && fault.bit < design_.node(fault.node).width,
-                "lane fault bit " << fault.bit << " outside node width");
-  }
-  if (fault.kind == LaneFault::Kind::kSeuMem) {
-    HLSHC_CHECK(fault.mem >= 0 &&
-                    static_cast<size_t>(fault.mem) < plan_->mem_shapes().size(),
-                "lane fault targets invalid memory " << fault.mem);
-    const MemShape& shape = plan_->mem_shapes()[static_cast<size_t>(fault.mem)];
-    HLSHC_CHECK(fault.addr >= 0 && fault.addr < shape.depth &&
-                    fault.bit >= 0 && fault.bit < shape.width,
-                "lane fault addr/bit outside memory shape");
-  }
+  validate_fault(design_, fault);
   LaneFault rebased = fault;
   rebased.cycle += base_[static_cast<size_t>(lane)];  // lane -> sweep clock
   faults_[static_cast<size_t>(lane)] = rebased;
@@ -379,6 +359,12 @@ void BatchSimulator::arm_lane_fault(int lane, const LaneFault& fault) {
   restore_consts(lane);
   rebuild_comb_index();
   evaluated_ = false;
+}
+
+LaneFault BatchSimulator::lane_fault(int lane) const {
+  LaneFault f = faults_[static_cast<size_t>(lane)];
+  f.cycle -= base_[static_cast<size_t>(lane)];  // sweep -> lane clock
+  return f;
 }
 
 void BatchSimulator::refill_lane(int lane, const LaneFault& fault) {
@@ -392,7 +378,7 @@ void BatchSimulator::refill_lane(int lane, const LaneFault& fault) {
   // Per-lane Engine::reset(): this lane's column back to the reset state,
   // every other column untouched.
   const size_t L = static_cast<size_t>(active_);
-  const size_t p = static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
+  const size_t p = col(lane);
   for (const RegCommit& rc : plan_->reg_commits())
     state_[static_cast<size_t>(rc.reg) * L + p] = rc.init;
   for (size_t m = 0; m < mem_.size(); ++m) {
@@ -409,9 +395,7 @@ void BatchSimulator::refill_lane(int lane, const LaneFault& fault) {
   // Engine::reset() ends with the injector's cycle hook: a lane-cycle-0
   // SEU lands on the fresh reset state, before the lane's first settle.
   const LaneFault& f = faults_[static_cast<size_t>(lane)];
-  if ((f.kind == LaneFault::Kind::kSeuReg ||
-       f.kind == LaneFault::Kind::kSeuMem) &&
-      f.cycle == cycle_) {
+  if (f.seu() && f.cycle == cycle_) {
     flip_state_bit(lane, f);
     seu_fired_[static_cast<size_t>(lane)] = 1;
   }
@@ -460,6 +444,56 @@ void BatchSimulator::compact_dead() {
   }
   active_ = live_;
   stream_kernel_ = select_stream_kernel(active_);
+}
+
+// ---- the compiled sim::Engine ----------------------------------------------
+
+namespace {
+
+/// Lane 0 of a 1-lane BatchSimulator behind the sim::Engine protocol. The
+/// Engine base keeps the cycle counter, watchdog, deadline and activity
+/// accounting; the batch keeps values, state and the armed fault, and its
+/// own clock advances in step through commit_edge().
+class BatchEngine final : public Engine {
+ public:
+  explicit BatchEngine(const netlist::Design& design)
+      : Engine(design), batch_(design, 1) {}
+
+  const char* kind_name() const override { return "compiled"; }
+
+  BitVec value(NodeId id) const override { return batch_.value(0, id); }
+
+  BitVec mem_peek(int mem_id, int addr) const override {
+    return BitVec(design_.memories()[static_cast<size_t>(mem_id)].width,
+                  batch_.mem_peek(0, mem_id, addr));
+  }
+  void mem_poke(int mem_id, int addr, const BitVec& value) override {
+    batch_.mem_poke(0, mem_id, addr, value.to_int64());
+  }
+
+ protected:
+  void eval_comb() override { batch_.eval_all(); }
+  void commit_state() override { batch_.commit_edge(); }
+  void reset_state() override { batch_.reset_all(); }
+  void poke_input(NodeId id, int64_t value) override {
+    batch_.poke_input(0, id, value);
+  }
+  void flip_state_bit(const LaneFault& seu) override {
+    batch_.flip_state_bit(0, seu);
+  }
+  void on_fault_armed() override { batch_.arm_lane_fault(0, fault_); }
+  void snapshot_values(int64_t* out) const override {
+    batch_.snapshot_values(0, out);
+  }
+
+ private:
+  BatchSimulator batch_;
+};
+
+}  // namespace
+
+std::unique_ptr<Engine> make_batch_engine(const netlist::Design& design) {
+  return std::make_unique<BatchEngine>(design);
 }
 
 }  // namespace hlshc::sim

@@ -1,15 +1,15 @@
-// sim::BatchSimulator — lane-batched execution of one shared ExecPlan.
+// sim::BatchSimulator — lane-batched execution of one shared ExecPlan, the
+// repository's one compiled simulation executor.
 //
 // A fault campaign (or a multi-stimulus evaluation) runs the *same* design
-// over N independent input/fault trajectories. The scalar engines fetch and
-// dispatch the instruction stream once per run; this backend fetches each
+// over N independent input/fault trajectories. This backend fetches each
 // 48-byte ExecInstr once and applies it across `lanes` independent runs in
 // an inner loop the compiler can auto-vectorize:
 //
 //   * value storage is lane-major per slot: slot s of lane l lives at
 //     values_[s * lanes + l], in 64-byte-aligned contiguous arrays, so the
 //     per-instruction inner loop reads/writes `lanes` consecutive words;
-//   * the per-cycle loop is specialized for fixed trip counts (4/8/16/32
+//   * the per-cycle loop is specialized for fixed trip counts (1/2/4/8/16/32
 //     lanes) with a generic path for any other count, and the whole
 //     kernel set is compiled per-ISA (baseline + x86-64-v3/AVX2) with the
 //     widest supported set picked at runtime (sim/batch_kernels.hpp);
@@ -17,13 +17,18 @@
 //   * per-lane poke/peek/reset APIs (poke_input(lane, id, v),
 //     value(lane, id), step_all()) advance all lanes in lockstep.
 //
+// At one lane it is also the scalar compiled engine: make_batch_engine
+// wraps lane 0 of a 1-lane batch as the sim::Engine behind
+// EngineKind::kCompiled (VCD, activity profiling, flips, mem peek/poke,
+// watchdog and deadline all go through the Engine base).
+//
 // Fault injection is per-lane: each lane owns its armed site (LaneFault) and
-// flip schedule. The transforms reproduce fault::SiteInjector's BitVec math
-// in canonical sign-extended int64 form, and the cycle protocol reproduces
-// Engine::reset()/step() ordering exactly (including the double eval per
-// testbench cycle and the cycle-0 SEU flip on reset), so every lane's
-// trajectory is bitwise-identical to the same run on a scalar
-// CompiledSimulator — asserted every-node-every-cycle by tests/batch_test.
+// flip schedule, applied through the same sim::fault_bit transform the
+// interpreter uses, and the cycle protocol reproduces Engine::reset()/step()
+// ordering exactly (including the double eval per testbench cycle and the
+// cycle-0 SEU flip on reset), so every lane's trajectory is bitwise-
+// identical to the same run on the interpreter oracle (sim::Simulator) —
+// asserted every-node-every-cycle by tests/batch_test.
 //
 // Lanes that diverge (finish, detect, hang) are masked out by the harness
 // (axis::BatchStreamTestbench) rather than forcing a batch-wide slow path:
@@ -69,26 +74,6 @@ struct CacheAlignedAlloc {
 /// Lane-major value storage: 64-byte aligned, contiguous.
 using LaneVec = std::vector<int64_t, CacheAlignedAlloc<int64_t>>;
 
-/// One lane's armed fault. Mirrors fault::FaultSite without depending on
-/// src/fault (which sits above sim in the layer order); fault::run_campaign
-/// converts sites to LaneFaults when it shards a campaign into lane-groups.
-struct LaneFault {
-  enum class Kind : uint8_t {
-    kNone,       ///< lane runs fault-free
-    kStuck0,     ///< combinational bit forced to 0 every eval
-    kStuck1,     ///< combinational bit forced to 1 every eval
-    kTransient,  ///< combinational bit inverted during one cycle's settle
-    kSeuReg,     ///< one register bit flips once at `cycle`
-    kSeuMem,     ///< one memory-word bit flips once at `cycle`
-  };
-  Kind kind = Kind::kNone;
-  netlist::NodeId node = netlist::kInvalidNode;  ///< target (not kSeuMem)
-  int mem = -1;        ///< memory id (kSeuMem)
-  int addr = 0;        ///< word address (kSeuMem)
-  int bit = 0;         ///< bit index within the target value
-  uint64_t cycle = 0;  ///< injection cycle (SEU/transient)
-};
-
 class BatchSimulator {
  public:
   /// Compiles (or reuses) the design's ExecPlan and replicates state for
@@ -103,8 +88,8 @@ class BatchSimulator {
   /// One lane's own cycle count: the sweep cycle minus the lane's start
   /// cycle. Equal to cycle() until the lane is refilled mid-sweep, after
   /// which the lane restarts from 0 — so a refilled lane's drivers, fault
-  /// schedule, and timing all see the same cycle numbers a fresh scalar run
-  /// would.
+  /// schedule, and timing all see the same cycle numbers a fresh run from
+  /// reset would.
   uint64_t lane_cycle(int lane) const {
     return cycle_ - base_[static_cast<size_t>(lane)];
   }
@@ -116,10 +101,14 @@ class BatchSimulator {
   /// Combinational settle of all lanes (idempotent for fixed inputs/state).
   void eval_all();
 
-  /// Engine::step() for every lane in lockstep: settle, latch, advance the
-  /// cycle counter, apply due SEU flips, settle again. Polls the armed
-  /// deadline every 256 cycles like the scalar engines.
+  /// Engine::step() for every lane in lockstep: settle, commit_edge(),
+  /// settle again. Polls the armed deadline every 256 cycles like
+  /// sim::Engine.
   void step_all();
+
+  /// The clock edge alone: latch every lane, advance the cycle counter and
+  /// apply due SEU flips; the next eval_all() settles the new cycle.
+  void commit_edge();
 
   /// Drive one lane's Input node (canonicalized exactly like Engine::poke).
   void poke_input(int lane, netlist::NodeId id, int64_t value);
@@ -138,12 +127,27 @@ class BatchSimulator {
   /// arming after a refill behaves exactly like arming before reset_all.
   void arm_lane_fault(int lane, const LaneFault& fault);
   void disarm_lane_fault(int lane) { arm_lane_fault(lane, LaneFault{}); }
+  /// The fault armed on a lane, its cycle on the lane's own clock.
+  LaneFault lane_fault(int lane) const;
+
+  /// Flips the register or memory bit `seu` names in one lane's state,
+  /// now (an SEU poke; the target must be valid, see validate_fault).
+  void flip_state_bit(int lane, const LaneFault& seu);
+
+  /// One lane's memory word, canonical int64; poke canonicalizes to the
+  /// memory's width.
+  int64_t mem_peek(int lane, int mem, int addr) const;
+  void mem_poke(int lane, int mem, int addr, int64_t value);
+
+  /// Copies one lane's value of every node, canonical int64 per node id,
+  /// into `out` (node_count() entries).
+  void snapshot_values(int lane, int64_t* out) const;
 
   /// Restarts one live lane mid-sweep with a fresh trajectory: per-lane
   /// Engine::reset() (registers to init, memory/inputs to zero, consts
   /// rematerialized), the lane clock rebased to 0, `fault` armed on the
   /// new clock, and a lane-cycle-0 SEU fired on the reset state — the
-  /// refilled lane's trajectory is bitwise-identical to a scalar run of
+  /// refilled lane's trajectory is bitwise-identical to a fresh run of
   /// the same fault from reset. Other lanes are unaffected. This is what
   /// lets a fault campaign stream fresh sites into lanes freed by early
   /// finishers instead of draining a whole group behind a hang straggler.
@@ -212,7 +216,7 @@ class BatchSimulator {
     LaneFault::Kind kind = LaneFault::Kind::kNone;
     int bit = 0;
     uint64_t cycle = 0;   ///< transient fire cycle
-    uint8_t dsh = 63;     ///< 64 - width: canonicalization shift pair
+    int width = 1;        ///< target node width
     bool is_input = false;
     bool is_const = false;
     int64_t imm = 0;  ///< const rematerialization value (is_const only)
@@ -224,7 +228,9 @@ class BatchSimulator {
   void seu_flips();          ///< fire due SEU flips (cycle_ == fault.cycle)
   void restore_consts(int lane);
   void rebuild_comb_index();
-  void flip_state_bit(int lane, const LaneFault& f);
+  size_t col(int lane) const {  ///< a live lane's physical column
+    return static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
+  }
   void compact_dead();       ///< drop every dead column from storage
   void revive_lanes();       ///< undo retirement: full-width arrays again
 
@@ -265,5 +271,9 @@ class BatchSimulator {
   bool comb_armed_ = false;
   std::vector<LaneView> views_;
 };
+
+/// The sim::Engine behind EngineKind::kCompiled: lane 0 of a 1-lane
+/// BatchSimulator. The design must outlive the engine.
+std::unique_ptr<Engine> make_batch_engine(const netlist::Design& design);
 
 }  // namespace hlshc::sim

@@ -5,7 +5,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/compiled.hpp"
+#include "sim/batch.hpp"
 #include "sim/simulator.hpp"
 
 namespace hlshc::sim {
@@ -17,15 +17,13 @@ using netlist::Op;
 
 Engine::Engine(const netlist::Design& design) : design_(design) {
   design_.validate();
-  inject_mask_.assign(design_.node_count(), 0);
 }
 
 void Engine::reset() {
+  cycle_ = 0;  // before reset_state, which fires a cycle-0 SEU
   reset_state();
-  cycle_ = 0;
   evaluated_ = false;
   act_prev_valid_ = false;  // no toggle accounting across a reset
-  if (injector_) injector_->at_cycle(*this);
 }
 
 void Engine::eval() {
@@ -52,14 +50,13 @@ void Engine::step() {
   // Sample the settled pre-edge state — these are the values being latched,
   // so toggle/write accounting sees exactly what the clock edge sees.
   if (activity_) accumulate_activity();
+  ++cycle_;  // the edge: commit_state latches into this cycle
   if (obs::enabled()) {
     obs::ScopedTimer t(obs::registry().timer("sim.commit"));
     commit_state();
   } else {
     commit_state();
   }
-  ++cycle_;
-  if (injector_) injector_->at_cycle(*this);
   evaluated_ = false;
   eval();
 }
@@ -172,42 +169,64 @@ int64_t Engine::output_i64(std::string_view port) const {
   return output(port).to_int64();
 }
 
-void Engine::set_fault_injector(FaultInjector* injector) {
-  std::vector<NodeId> targets;
-  if (injector) {
-    targets = injector->combinational_targets();
-    for (NodeId id : targets) design_.node(id);  // validates the id
+void validate_fault(const netlist::Design& design, const LaneFault& fault) {
+  switch (fault.kind) {
+    case LaneFault::Kind::kNone: return;
+    case LaneFault::Kind::kSeuMem: {
+      HLSHC_CHECK(fault.mem >= 0 &&
+                      static_cast<size_t>(fault.mem) < design.memories().size(),
+                  "no memory " << fault.mem << " in design '" << design.name()
+                               << '\'');
+      const netlist::Memory& m =
+          design.memories()[static_cast<size_t>(fault.mem)];
+      HLSHC_CHECK(fault.addr >= 0 && fault.addr < m.depth,
+                  "address " << fault.addr << " out of depth " << m.depth);
+      HLSHC_CHECK(fault.bit >= 0 && fault.bit < m.width,
+                  "bit " << fault.bit << " out of width " << m.width);
+      return;
+    }
+    default: {
+      const Node& n = design.node(fault.node);  // validates the id
+      if (fault.kind == LaneFault::Kind::kSeuReg)
+        HLSHC_CHECK(n.op == Op::Reg, "node " << fault.node << " is "
+                                             << netlist::op_name(n.op)
+                                             << ", not a register");
+      else
+        HLSHC_CHECK(n.op != Op::MemWrite,
+                    "node " << fault.node
+                            << " is a MemWrite, whose probe value drives "
+                               "nothing");
+      HLSHC_CHECK(fault.bit >= 0 && fault.bit < n.width,
+                  "bit " << fault.bit << " out of width " << n.width);
+    }
   }
-  // Commit only after every target validated, so a rejected injector is
-  // never left armed.
-  std::fill(inject_mask_.begin(), inject_mask_.end(), 0);
-  injector_ = injector;
-  for (NodeId id : targets) inject_mask_[static_cast<size_t>(id)] = 1;
-  on_injector_changed();
+}
+
+void Engine::arm_fault(const LaneFault& fault) {
+  validate_fault(design_, fault);  // throws before anything changes
+  fault_ = fault;
+  on_fault_armed();
+  evaluated_ = false;
 }
 
 void Engine::flip_reg_bit(NodeId reg, int bit) {
-  const Node& n = design_.node(reg);
-  HLSHC_CHECK(n.op == Op::Reg,
-              "flip_reg_bit: node " << reg << " (" << netlist::op_name(n.op)
-                                    << ") is not a register");
-  HLSHC_CHECK(bit >= 0 && bit < n.width,
-              "flip_reg_bit: bit " << bit << " out of width " << n.width);
-  do_flip_reg_bit(reg, bit, n.width);
+  LaneFault seu;
+  seu.kind = LaneFault::Kind::kSeuReg;
+  seu.node = reg;
+  seu.bit = bit;
+  validate_fault(design_, seu);
+  flip_state_bit(seu);
   evaluated_ = false;
 }
 
 void Engine::flip_mem_bit(int mem_id, int addr, int bit) {
-  HLSHC_CHECK(mem_id >= 0 && static_cast<size_t>(mem_id) <
-                                 design_.memories().size(),
-              "flip_mem_bit: no memory " << mem_id << " in design '"
-                                         << design_.name() << '\'');
-  const netlist::Memory& m = design_.memories()[static_cast<size_t>(mem_id)];
-  HLSHC_CHECK(addr >= 0 && addr < m.depth,
-              "flip_mem_bit: address " << addr << " out of depth " << m.depth);
-  HLSHC_CHECK(bit >= 0 && bit < m.width,
-              "flip_mem_bit: bit " << bit << " out of width " << m.width);
-  do_flip_mem_bit(mem_id, addr, bit, m.width);
+  LaneFault seu;
+  seu.kind = LaneFault::Kind::kSeuMem;
+  seu.mem = mem_id;
+  seu.addr = addr;
+  seu.bit = bit;
+  validate_fault(design_, seu);
+  flip_state_bit(seu);
   evaluated_ = false;
 }
 
@@ -223,8 +242,7 @@ std::unique_ptr<Engine> make_engine(const netlist::Design& design,
                                     EngineKind kind) {
   switch (kind) {
     case EngineKind::kInterpreter: return std::make_unique<Simulator>(design);
-    case EngineKind::kCompiled:
-      return std::make_unique<CompiledSimulator>(design);
+    case EngineKind::kCompiled: return make_batch_engine(design);
   }
   HLSHC_UNREACHABLE("bad EngineKind");
 }

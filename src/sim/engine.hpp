@@ -5,19 +5,20 @@
 // fault campaigns (src/fault), VCD tracing and the bench drivers — programs
 // against `sim::Engine`. Two implementations exist:
 //
-//   * sim::Simulator (simulator.hpp) — the legacy interpreter: a per-node
-//     walk over the netlist graph in topological order. Simple, obviously
-//     correct, and kept as the differential-testing oracle.
-//   * sim::CompiledSimulator (compiled.hpp) — the compiled engine: executes
-//     a levelized flat instruction stream (netlist::ExecPlan) over dense
-//     word-packed value slots with zero per-cycle allocation. Several times
-//     faster; the default for campaigns and benchmarks.
+//   * sim::Simulator (simulator.hpp) — the interpreter: a per-node walk over
+//     the netlist graph in topological order. Simple, obviously correct,
+//     and kept as the differential-testing oracle.
+//   * EngineKind::kCompiled — lane 0 of a 1-lane sim::BatchSimulator
+//     (batch.hpp), the one compiled executor: the levelized ExecPlan
+//     instruction stream over dense word-packed value slots with zero
+//     per-cycle allocation. Several times faster; the default everywhere.
 //
 // The base class owns the two-phase cycle protocol (eval / commit / edge),
-// the cycle counter and watchdog budget, port name resolution, and
-// fault-injector arming, so both engines expose byte-identical semantics:
-// the differential suite (tests/engine_diff_test.cpp) asserts identical
-// outputs, cycle counts and fault classifications.
+// the cycle counter and watchdog budget, port name resolution, activity
+// profiling and fault arming (arm_fault), so both engines expose
+// byte-identical semantics: the differential suite
+// (tests/engine_diff_test.cpp) asserts identical node values, cycle counts
+// and fault classifications.
 #pragma once
 
 #include <cstdint>
@@ -100,33 +101,51 @@ struct ActivityProfile {
   std::vector<uint64_t> mem_writes;  ///< indexed by memory id
 };
 
-/// Non-invasive fault-injection hook consulted by the engine, so faults
-/// can be armed on a built design without rebuilding it (src/fault provides
-/// the concrete SEU / stuck-at / transient injectors).
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
+/// One armed fault: what a fault campaign injects into one run. Both
+/// engines take it through Engine::arm_fault, and sim::BatchSimulator arms
+/// one per lane; fault::FaultSite::lane_fault() converts a campaign site.
+struct LaneFault {
+  enum class Kind : uint8_t {
+    kNone,       ///< the run is fault-free
+    kStuck0,     ///< combinational bit forced to 0 every eval
+    kStuck1,     ///< combinational bit forced to 1 every eval
+    kTransient,  ///< combinational bit inverted during one cycle's settle
+    kSeuReg,     ///< one register bit flips once at `cycle`
+    kSeuMem,     ///< one memory-word bit flips once at `cycle`
+  };
+  Kind kind = Kind::kNone;
+  netlist::NodeId node = netlist::kInvalidNode;  ///< target (not kSeuMem)
+  int mem = -1;        ///< memory id (kSeuMem)
+  int addr = 0;        ///< word address (kSeuMem)
+  int bit = 0;         ///< bit index within the target value
+  uint64_t cycle = 0;  ///< injection cycle (SEU/transient)
 
-  /// Nodes whose combinational value transform() may rewrite (stuck-at and
-  /// transient faults). Queried once when the injector is armed.
-  virtual std::vector<netlist::NodeId> combinational_targets() const {
-    return {};
+  /// A combinational fault: rewrites its node's value as eval computes it.
+  bool combinational() const {
+    return kind == Kind::kStuck0 || kind == Kind::kStuck1 ||
+           kind == Kind::kTransient;
   }
-
-  /// Applied to each target's value as eval() computes it. Must be a pure
-  /// function of (id, value, cycle) so eval() stays idempotent.
-  virtual BitVec transform(netlist::NodeId id, const BitVec& value,
-                           uint64_t cycle) {
-    (void)id;
-    (void)cycle;
-    return value;
-  }
-
-  /// State hook: called once per simulated cycle (at reset for cycle 0 and
-  /// after every clock edge, before combinational settle). May corrupt
-  /// register or memory state via flip_reg_bit()/flip_mem_bit().
-  virtual void at_cycle(Engine& engine) { (void)engine; }
+  bool seu() const { return kind == Kind::kSeuReg || kind == Kind::kSeuMem; }
 };
+
+/// Throws hlshc::Error unless `fault` names a real target in `design`: a
+/// node (any op but MemWrite, which drives nothing) and a bit inside its
+/// width, or a memory word and bit for kSeuMem.
+void validate_fault(const netlist::Design& design, const LaneFault& fault);
+
+/// The one fault transform both engines apply, on a canonical (sign-
+/// extended) `width`-bit value: kStuck0/kStuck1 force `bit`, every other
+/// kind (a transient's settle, an SEU's state flip) inverts it.
+inline int64_t fault_bit(LaneFault::Kind kind, int bit, int width,
+                         int64_t value) {
+  const uint64_t m = uint64_t{1} << bit;
+  uint64_t u = static_cast<uint64_t>(value);
+  u = kind == LaneFault::Kind::kStuck0   ? u & ~m
+      : kind == LaneFault::Kind::kStuck1 ? u | m
+                                         : u ^ m;
+  const int sh = 64 - width;
+  return static_cast<int64_t>(u << sh) >> sh;
+}
 
 class Engine : public PortAccess {
  public:
@@ -186,9 +205,14 @@ class Engine : public PortAccess {
     return deadline_;
   }
 
-  /// Arms (or, with nullptr, disarms) a fault injector. The injector must
-  /// outlive its armed period; its combinational targets are validated here.
-  void set_fault_injector(FaultInjector* injector);
+  /// Arms `fault` for the following cycles, replacing whatever was armed;
+  /// a kNone fault disarms. A combinational fault rewrites its node from
+  /// the next settle on; an SEU or transient fires when the cycle counter
+  /// reaches its cycle (an SEU at cycle 0 lands on the reset state), and
+  /// fires again in each run after a reset(). A bad target throws
+  /// hlshc::Error (validate_fault) and leaves the armed fault unchanged.
+  void arm_fault(const LaneFault& fault);
+  const LaneFault& fault() const { return fault_; }
 
   /// SEU pokes: flip one bit of a register's current state / one bit of one
   /// memory word. Validates the target and throws hlshc::Error on a bad one.
@@ -212,16 +236,18 @@ class Engine : public PortAccess {
  protected:
   explicit Engine(const netlist::Design& design);
 
-  // Engine-specific phases behind the shared two-phase cycle protocol.
+  // Engine-specific phases behind the shared two-phase cycle protocol. The
+  // engine applies the armed fault_ itself: combinational faults in
+  // eval_comb, SEUs due at cycle_ at the end of reset_state (cycle_ is 0)
+  // and of commit_state (cycle_ is already the post-edge cycle).
   virtual void eval_comb() = 0;
   virtual void commit_state() = 0;   ///< latch registers, commit mem writes
   virtual void reset_state() = 0;    ///< regs to init, mems/inputs to zero
   virtual void poke_input(netlist::NodeId id, int64_t value) = 0;
-  virtual void do_flip_reg_bit(netlist::NodeId reg, int bit, int width) = 0;
-  virtual void do_flip_mem_bit(int mem_id, int addr, int bit, int width) = 0;
-  /// Called after inject_mask_ changed, so engines can rebuild any derived
-  /// injection structures.
-  virtual void on_injector_changed() {}
+  /// Flips the (validated) register or memory bit an SEU names.
+  virtual void flip_state_bit(const LaneFault& seu) = 0;
+  /// Called once fault_ holds a newly armed (validated) fault.
+  virtual void on_fault_armed() = 0;
 
   /// Dump every node's current value, one canonical sign-extended int64 per
   /// node id, into `out` (node_count() entries). Both engines store values
@@ -234,8 +260,7 @@ class Engine : public PortAccess {
   uint64_t cycle_budget_ = 0;  ///< 0 = unbounded
   std::shared_ptr<const Deadline> deadline_;  ///< nullptr = unbounded
   bool evaluated_ = false;
-  FaultInjector* injector_ = nullptr;
-  std::vector<uint8_t> inject_mask_;  ///< per-node: transform() applies
+  LaneFault fault_;  ///< kNone = disarmed
 
  private:
   void accumulate_activity();
@@ -261,7 +286,7 @@ class Engine : public PortAccess {
 
 enum class EngineKind : uint8_t {
   kInterpreter,  ///< sim::Simulator — the per-node graph walker (oracle)
-  kCompiled,     ///< sim::CompiledSimulator — the ExecPlan instruction stream
+  kCompiled,     ///< lane 0 of a 1-lane sim::BatchSimulator (ExecPlan stream)
 };
 
 const char* engine_kind_name(EngineKind kind);

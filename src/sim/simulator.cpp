@@ -34,23 +34,34 @@ void Simulator::reset_state() {
   }
   for (NodeId in : design_.inputs())
     values_[static_cast<size_t>(in)] = BitVec::zero(design_.node(in).width);
+  seu_fired_ = false;  // every run from reset replays the armed fault
+  fire_due_seu();
 }
 
 void Simulator::poke_input(NodeId id, int64_t value) {
   values_[static_cast<size_t>(id)] = BitVec(design_.node(id).width, value);
 }
 
-void Simulator::do_flip_reg_bit(NodeId reg, int bit, int width) {
-  BitVec mask(width, static_cast<int64_t>(uint64_t{1} << bit));
-  BitVec& state = reg_state_[static_cast<size_t>(reg)];
-  state = BitVec::bxor(state, mask, width);
+void Simulator::flip_state_bit(const LaneFault& seu) {
+  BitVec& word =
+      seu.kind == LaneFault::Kind::kSeuReg
+          ? reg_state_[static_cast<size_t>(seu.node)]
+          : mem_state_[static_cast<size_t>(seu.mem)]
+                      [static_cast<size_t>(seu.addr)];
+  word = BitVec(word.width(),
+                fault_bit(seu.kind, seu.bit, word.width(), word.to_int64()));
 }
 
-void Simulator::do_flip_mem_bit(int mem_id, int addr, int bit, int width) {
-  BitVec mask(width, static_cast<int64_t>(uint64_t{1} << bit));
-  BitVec& word =
-      mem_state_[static_cast<size_t>(mem_id)][static_cast<size_t>(addr)];
-  word = BitVec::bxor(word, mask, width);
+void Simulator::on_fault_armed() {
+  comb_target_ =
+      fault_.combinational() ? fault_.node : netlist::kInvalidNode;
+  seu_fired_ = false;
+}
+
+void Simulator::fire_due_seu() {
+  if (!fault_.seu() || seu_fired_ || cycle_ != fault_.cycle) return;
+  flip_state_bit(fault_);
+  seu_fired_ = true;
 }
 
 void Simulator::compute(NodeId id) {
@@ -108,9 +119,10 @@ void Simulator::compute(NodeId id) {
       values_[i] = in(1);  // value flows through for probing
       break;
   }
-  if (inject_mask_[i])
-    values_[i] =
-        BitVec(w, injector_->transform(id, values_[i], cycle_).to_int64());
+  if (id == comb_target_ && (fault_.kind != LaneFault::Kind::kTransient ||
+                             cycle_ == fault_.cycle))
+    values_[i] = BitVec(
+        w, fault_bit(fault_.kind, fault_.bit, w, values_[i].to_int64()));
 }
 
 void Simulator::eval_comb() {
@@ -136,6 +148,7 @@ void Simulator::commit_state() {
         values_[static_cast<size_t>(n.operands[0])].to_uint64() % mem.size();
     mem[addr] = values_[static_cast<size_t>(n.operands[1])];
   }
+  fire_due_seu();
 }
 
 void Simulator::snapshot_values(int64_t* out) const {

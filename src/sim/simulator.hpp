@@ -2,10 +2,11 @@
 //
 // Walks the node graph in a precomputed topological order every cycle,
 // computing each node through BitVec. Simple and obviously correct — it is
-// the differential-testing oracle the compiled engine (compiled.hpp) is
-// checked against. The shared two-phase cycle protocol (eval / clock-edge
-// commit), watchdog, port resolution and fault-injection arming live in the
-// sim::Engine base (engine.hpp).
+// the differential-testing oracle the compiled engine (a 1-lane
+// sim::BatchSimulator, batch.hpp) is checked against. The shared two-phase
+// cycle protocol (eval / clock-edge commit), watchdog, port resolution and
+// fault arming live in the sim::Engine base (engine.hpp); the armed fault
+// goes through the same sim::fault_bit transform the batch engine applies.
 //
 // The simulator is the measurement instrument of the reproduction: the
 // evaluation procedure (src/core) drives a design's AXI-Stream interface
@@ -44,18 +45,22 @@ class Simulator : public Engine {
   void commit_state() override;
   void reset_state() override;
   void poke_input(netlist::NodeId id, int64_t value) override;
-  void do_flip_reg_bit(netlist::NodeId reg, int bit, int width) override;
-  void do_flip_mem_bit(int mem_id, int addr, int bit, int width) override;
+  void flip_state_bit(const LaneFault& seu) override;
+  void on_fault_armed() override;
   void snapshot_values(int64_t* out) const override;
 
  private:
   void compute(netlist::NodeId id);
+  void fire_due_seu();  ///< the armed SEU, if due at cycle_ and not yet fired
 
   std::shared_ptr<const std::vector<netlist::NodeId>> order_;
   std::vector<BitVec> values_;     ///< per-node value after eval
   std::vector<BitVec> reg_state_;  ///< per-node register state (Reg only)
   std::vector<std::vector<BitVec>> mem_state_;
   std::vector<netlist::NodeId> regs_;
+  /// The armed combinational fault's node (kInvalidNode when none is).
+  netlist::NodeId comb_target_ = netlist::kInvalidNode;
+  bool seu_fired_ = false;
 };
 
 }  // namespace hlshc::sim

@@ -520,7 +520,7 @@ Json Server::handle_campaign(const Request& req,
   copts.matrices =
       static_cast<int>(get_int(req.params, "matrices", 2, 1, 64));
   copts.jobs = static_cast<int>(get_int(req.params, "jobs", 1, 1, 256));
-  // 0 = the process default (HLSHC_LANES, else 32); 1 forces scalar.
+  // 0 = the process default (HLSHC_LANES, else 32); 1 = a 1-lane batch.
   copts.lanes = static_cast<int>(get_int(req.params, "lanes", 0, 0, 64));
   copts.progress_every = 0;  // a service response is the progress report
   copts.keep_runs = false;
@@ -670,16 +670,14 @@ Json Server::handle_stats() const {
   result.set("recent_requests",
              Json::number(static_cast<int64_t>(recent_requests().size())));
   if (obs::enabled()) {
-    // Batched-campaign utilization passthrough: total sweeps, lane-runs
-    // packed into them, and lanes that sat masked while stragglers ran.
-    // A sweeps-free process reports zeros (the counters default-construct).
+    // Batched-campaign utilization passthrough: total sweeps and the
+    // lane-runs packed into them. A sweeps-free process reports zeros (the
+    // counters default-construct).
     obs::Registry& reg = obs::registry();
     Json batch = Json::object();
     batch.set("sweeps", Json::number(reg.counter("sim.batch.sweeps")->value()));
     batch.set("lane_runs",
               Json::number(reg.counter("sim.batch.lanes")->value()));
-    batch.set("lanes_masked",
-              Json::number(reg.counter("fault.lanes_masked")->value()));
     // Campaign hangs by how they ended: proven by a state repeat, or run
     // to the watchdog. The two sum to every hang classified.
     batch.set("hang_early",

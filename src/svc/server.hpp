@@ -105,6 +105,10 @@ class Server {
   void register_design(const std::string& name,
                        std::function<netlist::Design()> builder);
   std::vector<std::string> design_names() const;
+  /// Builds the design named in params.design (kInvalidRequest when absent
+  /// or unregistered). Request handlers call it on the worker, under the
+  /// request's deadline.
+  netlist::Design build_design(const obs::Json& params) const;
 
   /// Admits one request line. Never blocks: the returned future resolves to
   /// the response line — immediately for admission failures (malformed,
@@ -154,9 +158,6 @@ class Server {
   /// event-log entries when params.trace_id names a specific trace.
   obs::Json handle_trace(const Request& req) const;
 
-  /// Builds the design named in params.design (kInvalidRequest when absent
-  /// or unregistered). The builder runs on the worker, under the deadline.
-  netlist::Design build_design(const obs::Json& params) const;
   /// The workload spec a request measures against: an explicit
   /// params.workload wins (kInvalidRequest when unregistered); otherwise a
   /// "<workload>." design-name prefix is honoured when it names a registry

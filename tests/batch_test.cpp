@@ -1,23 +1,26 @@
-// Differential tests: the lane-batched engine against the scalar oracle.
+// Differential tests: the lane-batched engine against the interpreter oracle.
 //
 // sim::BatchSimulator packs N independent runs into one instruction-stream
 // sweep; its contract is that every lane's trajectory is bitwise-identical
-// to the same run on a scalar sim::CompiledSimulator. Layers of evidence:
+// to the same run on the interpreter, sim::Simulator. (The compiled
+// sim::Engine is itself a 1-lane batch, so the interpreter is the only
+// independent reference.) Layers of evidence:
 //
 //   1. randomized netlists (the same testutil::random_design space the
 //      compiled-vs-interpreter suite fuzzes) driven with per-lane stimulus,
-//      every node of every lane compared against a scalar engine after
+//      every node of every lane compared against an interpreter after
 //      every eval, at several lane counts;
 //   2. per-lane fault injection (every LaneFault kind, including input and
-//      hoisted-const targets) against a scalar engine running the
-//      equivalent FaultInjector, plus disarm/heal parity;
+//      hoisted-const targets) against an interpreter with the same fault
+//      armed (Engine::arm_fault), plus disarm/heal parity;
 //   3. lane retirement: surviving lanes keep their exact trajectories
 //      while columns compact away, and reset_all() revives the batch;
 //   4. fault campaigns classified at several {lanes, jobs} combinations,
-//      counts AND the per-run log bitwise identical to the scalar loop,
-//      for every registered workload;
-//   5. core::evaluate_axis_design with lanes > 1 agrees with the scalar
-//      evaluation;
+//      counts AND the per-run log bitwise identical to the interpreter
+//      campaign oracle (campaign_oracle.hpp), for every registered
+//      workload;
+//   5. core::evaluate_axis_design with lanes > 1 agrees with the
+//      interpreter's single-stimulus evaluation;
 //   6. concurrent ExecPlan::for_design first use (the TSan target) and the
 //      batch utilization counters;
 //   7. exact hang proofs (axis::HangWatch) on hand-built netlists: proven
@@ -41,8 +44,9 @@
 #include "netlist/exec_plan.hpp"
 #include "obs/metrics.hpp"
 #include "rtl/designs.hpp"
+#include "campaign_oracle.hpp"
 #include "sim/batch.hpp"
-#include "sim/compiled.hpp"
+#include "sim/simulator.hpp"
 #include "testutil.hpp"
 #include "workload/workload.hpp"
 
@@ -55,7 +59,7 @@ using netlist::Op;
 using testutil::random_design;
 
 void expect_lane_equals_scalar(const sim::BatchSimulator& batch, int lane,
-                               const sim::CompiledSimulator& scalar,
+                               const sim::Simulator& scalar,
                                const Design& d, uint64_t seed, int cycle) {
   for (size_t i = 0; i < d.node_count(); ++i) {
     NodeId id = static_cast<NodeId>(i);
@@ -78,10 +82,10 @@ TEST_P(RandomNetlistBatchDiff, EveryLaneMatchesScalarEveryCycle) {
   // 3 exercises the generic kernel, 4 and 8 the fixed-trip specializations.
   for (int lanes : {3, 4, 8}) {
     sim::BatchSimulator batch(d, lanes);
-    std::vector<std::unique_ptr<sim::CompiledSimulator>> scalars;
+    std::vector<std::unique_ptr<sim::Simulator>> scalars;
     std::vector<SplitMix64> rngs;
     for (int l = 0; l < lanes; ++l) {
-      scalars.push_back(std::make_unique<sim::CompiledSimulator>(d));
+      scalars.push_back(std::make_unique<sim::Simulator>(d));
       rngs.emplace_back(seed * 64 + static_cast<uint64_t>(l));
     }
 
@@ -115,73 +119,6 @@ TEST_P(RandomNetlistBatchDiff, EveryLaneMatchesScalarEveryCycle) {
 }
 
 // ---- 2. per-lane fault injection -------------------------------------------
-
-/// The scalar reference injector: one fault::FaultSite, same semantics as
-/// the campaign's internal SiteInjector (campaign.cpp).
-class ScalarSiteInjector : public sim::FaultInjector {
- public:
-  explicit ScalarSiteInjector(const fault::FaultSite& site) : site_(site) {}
-
-  std::vector<NodeId> combinational_targets() const override {
-    switch (site_.kind) {
-      case fault::FaultKind::kStuckAt0:
-      case fault::FaultKind::kStuckAt1:
-      case fault::FaultKind::kTransient:
-        return {site_.node};
-      default:
-        return {};
-    }
-  }
-
-  BitVec transform(NodeId, const BitVec& value, uint64_t cycle) override {
-    const int w = value.width();
-    const BitVec mask(w, static_cast<int64_t>(uint64_t{1} << site_.bit));
-    switch (site_.kind) {
-      case fault::FaultKind::kStuckAt0:
-        return BitVec::band(value, BitVec::bnot(mask, w), w);
-      case fault::FaultKind::kStuckAt1:
-        return BitVec::bor(value, mask, w);
-      case fault::FaultKind::kTransient:
-        return cycle == site_.cycle ? BitVec::bxor(value, mask, w) : value;
-      default:
-        return value;
-    }
-  }
-
-  void at_cycle(sim::Engine& sim) override {
-    if (fired_ || sim.cycle() != site_.cycle) return;
-    if (site_.kind == fault::FaultKind::kSeuReg) {
-      sim.flip_reg_bit(site_.node, site_.bit);
-      fired_ = true;
-    } else if (site_.kind == fault::FaultKind::kSeuMem) {
-      sim.flip_mem_bit(site_.mem, site_.addr, site_.bit);
-      fired_ = true;
-    }
-  }
-
- private:
-  fault::FaultSite site_;
-  bool fired_ = false;
-};
-
-sim::LaneFault to_lane_fault(const fault::FaultSite& s) {
-  sim::LaneFault f;
-  switch (s.kind) {
-    case fault::FaultKind::kSeuReg: f.kind = sim::LaneFault::Kind::kSeuReg; break;
-    case fault::FaultKind::kSeuMem: f.kind = sim::LaneFault::Kind::kSeuMem; break;
-    case fault::FaultKind::kStuckAt0: f.kind = sim::LaneFault::Kind::kStuck0; break;
-    case fault::FaultKind::kStuckAt1: f.kind = sim::LaneFault::Kind::kStuck1; break;
-    case fault::FaultKind::kTransient:
-      f.kind = sim::LaneFault::Kind::kTransient;
-      break;
-  }
-  f.node = s.node;
-  f.mem = s.mem;
-  f.addr = s.addr;
-  f.bit = s.bit;
-  f.cycle = s.cycle;
-  return f;
-}
 
 /// First node of the given op kind with width > `bit`, or kInvalidNode.
 NodeId find_node(const Design& d, Op op, int bit) {
@@ -232,17 +169,15 @@ TEST_P(RandomNetlistLaneFaults, EveryLaneFaultKindMatchesScalarInjector) {
 
   const int lanes = static_cast<int>(sites.size()) + 1;  // +1 fault-free
   sim::BatchSimulator batch(d, lanes);
-  std::vector<std::unique_ptr<sim::CompiledSimulator>> scalars;
-  std::vector<std::unique_ptr<ScalarSiteInjector>> injectors;
+  std::vector<std::unique_ptr<sim::Simulator>> scalars;
   for (int l = 0; l < lanes; ++l) {
-    scalars.push_back(std::make_unique<sim::CompiledSimulator>(d));
+    scalars.push_back(std::make_unique<sim::Simulator>(d));
     if (l < static_cast<int>(sites.size())) {
       if (sites[l].node == netlist::kInvalidNode &&
           sites[l].kind != fault::FaultKind::kSeuMem)
         continue;  // design has no node of that kind; lane stays clean
-      batch.arm_lane_fault(l, to_lane_fault(sites[l]));
-      injectors.push_back(std::make_unique<ScalarSiteInjector>(sites[l]));
-      scalars[l]->set_fault_injector(injectors.back().get());
+      batch.arm_lane_fault(l, sites[l].lane_fault());
+      scalars[l]->arm_fault(sites[l].lane_fault());
     }
   }
   batch.reset_all();
@@ -270,7 +205,7 @@ TEST_P(RandomNetlistLaneFaults, EveryLaneFaultKindMatchesScalarInjector) {
   // rewrote — back to the fault-free trajectory.
   for (int l = 0; l < lanes; ++l) {
     batch.disarm_lane_fault(l);
-    scalars[l]->set_fault_injector(nullptr);
+    scalars[l]->arm_fault({});
   }
   batch.eval_all();
   for (int l = 0; l < lanes; ++l) {
@@ -288,10 +223,10 @@ TEST(BatchRetirement, SurvivorsKeepExactTrajectoriesAcrossCompaction) {
   const int lanes = 8;
 
   sim::BatchSimulator batch(d, lanes);
-  std::vector<std::unique_ptr<sim::CompiledSimulator>> scalars;
+  std::vector<std::unique_ptr<sim::Simulator>> scalars;
   std::vector<SplitMix64> rngs;
   for (int l = 0; l < lanes; ++l) {
-    scalars.push_back(std::make_unique<sim::CompiledSimulator>(d));
+    scalars.push_back(std::make_unique<sim::Simulator>(d));
     rngs.emplace_back(seed + static_cast<uint64_t>(l) * 1337);
   }
 
@@ -342,10 +277,7 @@ TEST(BatchRetirement, SurvivorsKeepExactTrajectoriesAcrossCompaction) {
 
 // ---- 4. campaign classification parity -------------------------------------
 
-fault::CampaignReport campaign_at(const Design& d,
-                                  const workload::WorkloadSpec& spec,
-                                  const std::vector<fault::FaultSite>& sites,
-                                  int lanes, int jobs) {
+fault::CampaignOptions campaign_options(int lanes, int jobs) {
   fault::CampaignOptions opts;
   opts.matrices = 2;
   opts.max_cycles = 20000;
@@ -353,7 +285,22 @@ fault::CampaignReport campaign_at(const Design& d,
   opts.progress_every = 0;
   opts.lanes = lanes;
   opts.jobs = jobs;
-  return fault::run_campaign(d, spec, sites, opts);
+  return opts;
+}
+
+fault::CampaignReport campaign_at(const Design& d,
+                                  const workload::WorkloadSpec& spec,
+                                  const std::vector<fault::FaultSite>& sites,
+                                  int lanes, int jobs) {
+  return fault::run_campaign(d, spec, sites, campaign_options(lanes, jobs));
+}
+
+/// The interpreter campaign oracle at campaign_at's options.
+fault::CampaignReport oracle_at(const Design& d,
+                                const workload::WorkloadSpec& spec,
+                                const std::vector<fault::FaultSite>& sites) {
+  return testutil::interpreter_campaign(d, spec, sites,
+                                        campaign_options(1, 1));
 }
 
 void expect_reports_equal(const fault::CampaignReport& a,
@@ -383,13 +330,13 @@ TEST(BatchCampaign, BitwiseIdenticalAcrossLanesAndJobs) {
   for (const fault::FaultSite& s : fault::sample_stuck_sites(d, 12, 10))
     sites.push_back(s);
 
-  const fault::CampaignReport scalar = campaign_at(d, spec, sites, 1, 1);
-  ASSERT_EQ(scalar.runs.size(), sites.size());
-  for (int lanes : {4, 32}) {
+  const fault::CampaignReport oracle = oracle_at(d, spec, sites);
+  ASSERT_EQ(oracle.runs.size(), sites.size());
+  for (int lanes : {1, 4, 32}) {
     for (int jobs : {1, 4}) {
       const fault::CampaignReport batched =
           campaign_at(d, spec, sites, lanes, jobs);
-      expect_reports_equal(scalar, batched,
+      expect_reports_equal(oracle, batched,
                            "lanes=" + std::to_string(lanes) +
                                " jobs=" + std::to_string(jobs));
     }
@@ -401,8 +348,8 @@ TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
   // their keep: a hung lane is proven early (or frees up late at the
   // watchdog), and the refill logic must slot fresh sites into the other
   // lanes without perturbing anyone's clock. A tight cycle budget turns a
-  // good fraction of stuck-at sites into hangs; every batched {lanes, jobs}
-  // path must classify every site exactly as the scalar timeout path does.
+  // good fraction of stuck-at sites into hangs; every {lanes, jobs} path
+  // must classify every site exactly as the interpreter's watchdog does.
   const Design d = rtl::build_verilog_opt2();
   const workload::WorkloadSpec& spec =
       workload::Registry::instance().get("idct");
@@ -415,11 +362,10 @@ TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
   opts.max_cycles = 300;  // tight enough that stalled streams hit the budget
   opts.keep_runs = true;
   opts.progress_every = 0;
-  opts.lanes = 1;
-  opts.jobs = 1;
-  const fault::CampaignReport scalar = fault::run_campaign(d, spec, sites, opts);
-  ASSERT_GE(scalar.counts.hang, 1) << "budget too generous: no hang sites";
-  ASSERT_LT(scalar.counts.hang, static_cast<int>(sites.size()))
+  const fault::CampaignReport oracle =
+      testutil::interpreter_campaign(d, spec, sites, opts);
+  ASSERT_GE(oracle.counts.hang, 1) << "budget too generous: no hang sites";
+  ASSERT_LT(oracle.counts.hang, static_cast<int>(sites.size()))
       << "budget too tight: every site hangs";
 
   obs::set_enabled(true);
@@ -434,18 +380,41 @@ TEST(BatchCampaign, RefillingStreamMatchesScalarOnHangHeavySites) {
           fault::run_campaign(d, spec, sites, opts);
       const std::string what = "hang-heavy lanes=" + std::to_string(lanes) +
                                " jobs=" + std::to_string(jobs);
-      expect_reports_equal(scalar, batched, what);
+      expect_reports_equal(oracle, batched, what);
       const int64_t early = reg.counter("fault.hang_early")->value() - early0;
       const int64_t timeout =
           reg.counter("fault.hang_timeout")->value() - timeout0;
       EXPECT_EQ(early + timeout, batched.counts.hang) << what;
-      // The scalar engine keeps its watchdog (it stays the oracle); the
-      // batched loops prove these hangs long before the budget.
-      if (lanes == 1)
-        EXPECT_EQ(early, 0) << what;
-      else
-        EXPECT_GT(early, 0) << what;
+      // The interpreter oracle runs every hang to its watchdog; the lane
+      // loop proves these long before the budget, at one lane too.
+      EXPECT_GT(early, 0) << what;
     }
+  }
+  obs::set_enabled(false);
+}
+
+TEST(BatchCampaign, OneLaneCampaignProvesStuckAtHangsEarly) {
+  // The hang-heavy stuck-at case at the real 20000-cycle budget: a 1-lane
+  // campaign is a 1-lane batch, so it proves hangs by state repeat instead
+  // of running them to the watchdog the interpreter oracle runs them to —
+  // and still classifies every site exactly as the oracle does.
+  const Design d = rtl::build_verilog_opt2();
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
+  const std::vector<fault::FaultSite> sites =
+      fault::sample_stuck_sites(d, 40, 2026);
+  const fault::CampaignReport oracle = oracle_at(d, spec, sites);
+  ASSERT_GE(oracle.counts.hang, 1) << "no hang among the stuck-at sites";
+
+  obs::set_enabled(true);
+  obs::Registry& reg = obs::registry();
+  for (int jobs : {1, 4}) {
+    const int64_t early0 = reg.counter("fault.hang_early")->value();
+    const fault::CampaignReport one_lane = campaign_at(d, spec, sites, 1, jobs);
+    expect_reports_equal(oracle, one_lane,
+                         "lanes=1 jobs=" + std::to_string(jobs));
+    EXPECT_GT(reg.counter("fault.hang_early")->value() - early0, 0)
+        << "jobs=" << jobs;
   }
   obs::set_enabled(false);
 }
@@ -462,9 +431,12 @@ TEST(BatchCampaign, EveryRegisteredWorkloadClassifiesIdentically) {
     const Design d = builder->build();
     const std::vector<fault::FaultSite> sites =
         fault::sample_seu_sites(d, 12, 40, 3);
-    const fault::CampaignReport scalar = campaign_at(d, spec, sites, 1, 1);
-    const fault::CampaignReport batched = campaign_at(d, spec, sites, 8, 1);
-    expect_reports_equal(scalar, batched, name + "/" + builder->name);
+    const fault::CampaignReport oracle = oracle_at(d, spec, sites);
+    for (int lanes : {1, 8}) {
+      const fault::CampaignReport batched =
+          campaign_at(d, spec, sites, lanes, 1);
+      expect_reports_equal(oracle, batched, name + "/" + builder->name);
+    }
   }
 }
 
@@ -476,7 +448,9 @@ TEST(BatchEvaluate, LanedEvaluationAgreesWithScalar) {
       workload::Registry::instance().get("idct");
   core::EvaluateOptions opts;
   opts.matrices = 4;
+  opts.engine = sim::EngineKind::kInterpreter;  // the independent reference
   const core::DesignEvaluation scalar = core::evaluate_axis_design(d, spec, opts);
+  opts.engine = sim::EngineKind::kCompiled;
   opts.lanes = 8;
   const core::DesignEvaluation batched =
       core::evaluate_axis_design(d, spec, opts);
@@ -520,8 +494,6 @@ TEST(BatchInfra, UtilizationCountersTrackSweepsAndLanes) {
   obs::registry().counter("sim.batch.sweeps")->add(0);
   const int64_t sweeps0 = obs::registry().counter("sim.batch.sweeps")->value();
   const int64_t lanes0 = obs::registry().counter("sim.batch.lanes")->value();
-  const int64_t masked0 =
-      obs::registry().counter("fault.lanes_masked")->value();
 
   const Design d = rtl::build_verilog_opt2();
   const workload::WorkloadSpec& spec =
@@ -536,7 +508,6 @@ TEST(BatchInfra, UtilizationCountersTrackSweepsAndLanes) {
   // bound implementation-free).
   EXPECT_GE(obs::registry().counter("sim.batch.sweeps")->value(), sweeps0 + 1);
   EXPECT_GE(obs::registry().counter("sim.batch.lanes")->value(), lanes0 + 12);
-  EXPECT_GE(obs::registry().counter("fault.lanes_masked")->value(), masked0);
 }
 
 // ---- 7. exact hang proofs ---------------------------------------------------
@@ -617,7 +588,7 @@ std::vector<idct::Block> hang_inputs() {
 /// campaign derives from its reference run.
 uint64_t fault_free_cycles(const Design& d,
                            const std::vector<idct::Block>& inputs) {
-  sim::CompiledSimulator sim(d);
+  sim::Simulator sim(d);
   axis::StreamTestbench tb(sim);
   tb.run(inputs);
   return tb.timing().total_cycles;
@@ -649,8 +620,8 @@ std::vector<axis::BatchLaneResult> through_both_loops(
   return out;
 }
 
-/// The scalar oracle (lanes = 1: the watchdog path) against the batched
-/// campaign loops at jobs 1 and 4, run log bitwise.
+/// The interpreter oracle (the watchdog path) against the lane loop at
+/// lanes {1, 8} x jobs {1, 4}, run log bitwise.
 void expect_campaign_parity(const Design& d,
                             const std::vector<fault::FaultSite>& sites,
                             uint64_t max_cycles, fault::Outcome want) {
@@ -662,17 +633,19 @@ void expect_campaign_parity(const Design& d,
   opts.max_cycles = max_cycles;
   opts.keep_runs = true;
   opts.progress_every = 0;
-  opts.lanes = 1;
-  opts.jobs = 1;
-  const fault::CampaignReport scalar = fault::run_campaign(d, spec, sites, opts);
-  ASSERT_EQ(scalar.runs.size(), sites.size());
-  for (const fault::RunRecord& run : scalar.runs)
+  const fault::CampaignReport oracle =
+      testutil::interpreter_campaign(d, spec, sites, opts);
+  ASSERT_EQ(oracle.runs.size(), sites.size());
+  for (const fault::RunRecord& run : oracle.runs)
     EXPECT_EQ(run.outcome, want) << d.name() << ' ' << run.site.to_string();
-  opts.lanes = 8;
-  for (int jobs : {1, 4}) {
-    opts.jobs = jobs;
-    expect_reports_equal(scalar, fault::run_campaign(d, spec, sites, opts),
-                         d.name() + " jobs=" + std::to_string(jobs));
+  for (int lanes : {1, 8}) {
+    for (int jobs : {1, 4}) {
+      opts.lanes = lanes;
+      opts.jobs = jobs;
+      expect_reports_equal(oracle, fault::run_campaign(d, spec, sites, opts),
+                           d.name() + " lanes=" + std::to_string(lanes) +
+                               " jobs=" + std::to_string(jobs));
+    }
   }
 }
 

@@ -1,17 +1,21 @@
 // Differential tests: the compiled engine against the interpreter oracle.
 //
-// The compiled engine (sim::CompiledSimulator over netlist::ExecPlan) must
-// be observationally indistinguishable from the interpreter
-// (sim::Simulator) — same node values every cycle, same cycle counts, same
-// stream timing, same watchdog behaviour and same fault-campaign
-// classifications. Three layers of evidence:
+// The compiled engine (EngineKind::kCompiled: lane 0 of a 1-lane
+// sim::BatchSimulator over netlist::ExecPlan) must be observationally
+// indistinguishable from the interpreter (sim::Simulator) — same node values
+// every cycle, same cycle counts, same stream timing, same watchdog
+// behaviour and same fault-campaign classifications. Three layers of
+// evidence:
 //
 //   1. randomized netlists covering every op, fuzzed cycle by cycle with
-//      every node value compared after every eval;
+//      every node value compared after every eval, with and without an
+//      armed fault (arm_fault);
 //   2. every registered AXI-Stream IDCT design run through the stream
 //      testbench on both engines with seeded stimulus and randomized
 //      source/sink timing;
-//   3. fault campaigns (SEU + stuck-at) classified by both engines.
+//   3. fault campaigns (SEU + stuck-at) classified by fault::run_campaign at
+//      every {lanes, jobs} against the interpreter campaign oracle
+//      (campaign_oracle.hpp).
 //
 // Plus unit tests for the ExecPlan compilation itself (levelization,
 // constant hoisting, per-design caching).
@@ -33,7 +37,7 @@
 #include "netlist/exec_plan.hpp"
 #include "obs/metrics.hpp"
 #include "rtl/designs.hpp"
-#include "sim/compiled.hpp"
+#include "campaign_oracle.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
 #include "xls/designs.hpp"
@@ -51,8 +55,8 @@ using netlist::Op;
 // suite (tests/batch_test.cpp) fuzzes the exact same design space.
 using testutil::random_design;
 
-void expect_all_nodes_equal(const sim::Simulator& oracle,
-                            const sim::CompiledSimulator& compiled,
+void expect_all_nodes_equal(const sim::Engine& oracle,
+                            const sim::Engine& compiled,
                             const Design& d, uint64_t seed, int cycle) {
   for (size_t i = 0; i < d.node_count(); ++i) {
     NodeId id = static_cast<NodeId>(i);
@@ -69,7 +73,9 @@ TEST_P(RandomNetlistDiff, EveryNodeEveryCycleBitExact) {
   const uint64_t seed = GetParam();
   Design d = random_design(seed);
   sim::Simulator oracle(d);
-  sim::CompiledSimulator compiled(d);
+  const std::unique_ptr<sim::Engine> compiled_engine =
+      sim::make_engine(d, sim::EngineKind::kCompiled);
+  sim::Engine& compiled = *compiled_engine;
   SplitMix64 rng(seed ^ 0x9e3779b97f4a7c15ull);
 
   std::vector<NodeId> ins(d.inputs().begin(), d.inputs().end());
@@ -99,7 +105,9 @@ TEST_P(RandomNetlistDiff, SeuPokesAgree) {
   const uint64_t seed = GetParam();
   Design d = random_design(seed);
   sim::Simulator oracle(d);
-  sim::CompiledSimulator compiled(d);
+  const std::unique_ptr<sim::Engine> compiled_engine =
+      sim::make_engine(d, sim::EngineKind::kCompiled);
+  sim::Engine& compiled = *compiled_engine;
   SplitMix64 rng(seed + 7);
 
   std::vector<NodeId> regs;
@@ -128,32 +136,21 @@ TEST_P(RandomNetlistDiff, SeuPokesAgree) {
 }
 
 /// Stuck-at on an arbitrary node (including inputs and hoisted constants).
-class StuckBit : public sim::FaultInjector {
- public:
-  StuckBit(NodeId node, int bit, bool one) : node_(node), bit_(bit), one_(one) {}
-
-  std::vector<NodeId> combinational_targets() const override {
-    return {node_};
-  }
-
-  BitVec transform(NodeId, const BitVec& v, uint64_t) override {
-    const int w = v.width();
-    const BitVec mask(w, static_cast<int64_t>(uint64_t{1} << bit_));
-    return one_ ? BitVec::bor(v, mask, w)
-                : BitVec::band(v, BitVec::bnot(mask, w), w);
-  }
-
- private:
-  NodeId node_;
-  int bit_;
-  bool one_;
-};
+sim::LaneFault stuck_bit(NodeId node, int bit, bool one) {
+  sim::LaneFault f;
+  f.kind = one ? sim::LaneFault::Kind::kStuck1 : sim::LaneFault::Kind::kStuck0;
+  f.node = node;
+  f.bit = bit;
+  return f;
+}
 
 TEST_P(RandomNetlistDiff, CombinationalInjectionAndDisarmAgree) {
   const uint64_t seed = GetParam();
   Design d = random_design(seed);
   sim::Simulator oracle(d);
-  sim::CompiledSimulator compiled(d);
+  const std::unique_ptr<sim::Engine> compiled_engine =
+      sim::make_engine(d, sim::EngineKind::kCompiled);
+  sim::Engine& compiled = *compiled_engine;
   SplitMix64 rng(seed * 31 + 5);
   std::vector<NodeId> ins(d.inputs().begin(), d.inputs().end());
 
@@ -177,14 +174,15 @@ TEST_P(RandomNetlistDiff, CombinationalInjectionAndDisarmAgree) {
       target = static_cast<NodeId>(
           rng.next_in(0, static_cast<long>(d.node_count()) - 1));
     } while (d.node(target).op == Op::MemWrite);
-    StuckBit inj(target, static_cast<int>(rng.next_in(0, d.node(target).width - 1)),
-                 rng.next_in(0, 1) != 0);
-    oracle.set_fault_injector(&inj);
-    compiled.set_fault_injector(&inj);
+    const sim::LaneFault inj = stuck_bit(
+        target, static_cast<int>(rng.next_in(0, d.node(target).width - 1)),
+        rng.next_in(0, 1) != 0);
+    oracle.arm_fault(inj);
+    compiled.arm_fault(inj);
     drive_and_compare(6, round * 2);
     // Disarm: both engines must heal identically (hoisted constants!).
-    oracle.set_fault_injector(nullptr);
-    compiled.set_fault_injector(nullptr);
+    oracle.arm_fault({});
+    compiled.arm_fault({});
     drive_and_compare(4, round * 2 + 1);
   }
 }
@@ -303,22 +301,60 @@ TEST(EngineDiff, FaultCampaignClassificationsIdentical) {
   std::vector<fault::FaultSite> stuck = fault::sample_stuck_sites(d, 6, 12);
   sites.insert(sites.end(), stuck.begin(), stuck.end());
 
+  const workload::WorkloadSpec& spec =
+      workload::Registry::instance().get("idct");
   fault::CampaignOptions opt;
   opt.matrices = 2;
-  opt.engine = sim::EngineKind::kInterpreter;
-  fault::CampaignReport oracle = fault::run_campaign(d, sites, opt);
-  opt.engine = sim::EngineKind::kCompiled;
-  fault::CampaignReport compiled = fault::run_campaign(d, sites, opt);
+  opt.progress_every = 0;
+  const fault::CampaignReport oracle =
+      testutil::interpreter_campaign(d, spec, sites, opt);
+  ASSERT_EQ(oracle.runs.size(), sites.size());
+  for (int lanes : {1, 2, 8, 32}) {
+    for (int jobs : {1, 4}) {
+      opt.lanes = lanes;
+      opt.jobs = jobs;
+      const fault::CampaignReport compiled =
+          fault::run_campaign(d, spec, sites, opt);
+      const std::string what =
+          "lanes=" + std::to_string(lanes) + " jobs=" + std::to_string(jobs);
+      EXPECT_EQ(oracle.reference_functional, compiled.reference_functional)
+          << what;
+      EXPECT_EQ(oracle.counts.masked, compiled.counts.masked) << what;
+      EXPECT_EQ(oracle.counts.sdc, compiled.counts.sdc) << what;
+      EXPECT_EQ(oracle.counts.detected, compiled.counts.detected) << what;
+      EXPECT_EQ(oracle.counts.hang, compiled.counts.hang) << what;
+      ASSERT_EQ(oracle.runs.size(), compiled.runs.size()) << what;
+      for (size_t i = 0; i < oracle.runs.size(); ++i)
+        EXPECT_EQ(oracle.runs[i].outcome, compiled.runs[i].outcome)
+            << what << " site " << i;
+    }
+  }
+}
 
-  EXPECT_EQ(oracle.reference_functional, compiled.reference_functional);
-  EXPECT_EQ(oracle.counts.masked, compiled.counts.masked);
-  EXPECT_EQ(oracle.counts.sdc, compiled.counts.sdc);
-  EXPECT_EQ(oracle.counts.detected, compiled.counts.detected);
-  EXPECT_EQ(oracle.counts.hang, compiled.counts.hang);
-  ASSERT_EQ(oracle.runs.size(), compiled.runs.size());
-  for (size_t i = 0; i < oracle.runs.size(); ++i)
-    EXPECT_EQ(oracle.runs[i].outcome, compiled.runs[i].outcome)
-        << "site " << i;
+// The one fault transform both engines share, against plain BitVec math:
+// stuck-at ORs / AND-NOTs the bit, a transient or an SEU XORs it, at every
+// width, so the engines' agreement is not agreement on a wrong transform.
+TEST(EngineDiff, FaultBitMatchesBitVecMath) {
+  using Kind = sim::LaneFault::Kind;
+  SplitMix64 rng(1180);
+  for (int w = 1; w <= 64; ++w) {
+    for (int round = 0; round < 16; ++round) {
+      const BitVec v(w, static_cast<int64_t>(rng.next()));
+      const int bit = static_cast<int>(rng.next_in(0, w - 1));
+      const BitVec mask(w, static_cast<int64_t>(uint64_t{1} << bit));
+      const auto apply = [&](Kind k) {
+        return BitVec(w, sim::fault_bit(k, bit, w, v.to_int64()));
+      };
+      EXPECT_EQ(apply(Kind::kStuck0),
+                BitVec::band(v, BitVec::bnot(mask, w), w))
+          << "w=" << w << " bit=" << bit;
+      EXPECT_EQ(apply(Kind::kStuck1), BitVec::bor(v, mask, w))
+          << "w=" << w << " bit=" << bit;
+      for (Kind k : {Kind::kTransient, Kind::kSeuReg, Kind::kSeuMem})
+        EXPECT_EQ(apply(k), BitVec::bxor(v, mask, w))
+            << "w=" << w << " bit=" << bit;
+    }
+  }
 }
 
 // ---- activity-counter parity -----------------------------------------------
@@ -345,7 +381,9 @@ TEST_P(RandomNetlistDiff, ActivityCountersAgree) {
   const uint64_t seed = GetParam();
   Design d = random_design(seed);
   sim::Simulator oracle(d);
-  sim::CompiledSimulator compiled(d);
+  const std::unique_ptr<sim::Engine> compiled_engine =
+      sim::make_engine(d, sim::EngineKind::kCompiled);
+  sim::Engine& compiled = *compiled_engine;
   oracle.set_activity_enabled(true);
   compiled.set_activity_enabled(true);
   SplitMix64 rng(seed ^ 0xa5a5a5a5ull);

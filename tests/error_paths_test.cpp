@@ -212,16 +212,25 @@ TEST(ErrorPaths, ValidateSiteRejectsBadFaultSites) {
 
 TEST(ErrorPaths, ArmingInvalidInjectorTargetThrows) {
   Design d = counter_with_mem();
-  sim::Simulator sim(d);
-  class BadTargets : public sim::FaultInjector {
-    std::vector<NodeId> combinational_targets() const override {
-      return {static_cast<NodeId>(1 << 20)};
+  for (sim::EngineKind kind :
+       {sim::EngineKind::kInterpreter, sim::EngineKind::kCompiled}) {
+    std::unique_ptr<sim::Engine> sim = sim::make_engine(d, kind);
+    sim::LaneFault bad_node;
+    bad_node.kind = sim::LaneFault::Kind::kStuck1;
+    bad_node.node = static_cast<NodeId>(1 << 20);
+    sim::LaneFault bad_bit = bad_node;
+    bad_bit.node = d.find_output("q");
+    bad_bit.bit = 8;  // past the 8-bit counter output
+    for (const sim::LaneFault& bad : {bad_node, bad_bit}) {
+      EXPECT_THROW(sim->arm_fault(bad), Error) << sim->kind_name();
+      // Rejected before anything changed: the engine stays disarmed.
+      EXPECT_EQ(sim->fault().kind, sim::LaneFault::Kind::kNone)
+          << sim->kind_name();
     }
-  } bad;
-  EXPECT_THROW(sim.set_fault_injector(&bad), Error);
-  EXPECT_EQ(sim.cycle(), 0u);  // simulator still usable
-  sim.run(3);
-  EXPECT_EQ(sim.cycle(), 3u);
+    EXPECT_EQ(sim->cycle(), 0u);  // simulator still usable
+    sim->run(3);
+    EXPECT_EQ(sim->cycle(), 3u);
+  }
 }
 
 TEST(ErrorPaths, HardeningRejectsUnusableDesigns) {

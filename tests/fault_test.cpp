@@ -146,37 +146,20 @@ TEST(Injection, FlipRegBitChangesStateUntilOverwritten) {
   EXPECT_EQ(sim.output_i64("q"), 0);
 }
 
-namespace {
-/// Test-only injector: forces one bit of one node high during eval.
-class ForceBitHigh : public sim::FaultInjector {
- public:
-  ForceBitHigh(NodeId node, int bit) : node_(node), bit_(bit) {}
-  std::vector<NodeId> combinational_targets() const override {
-    return {node_};
-  }
-  BitVec transform(NodeId, const BitVec& v, uint64_t) override {
-    return BitVec::bor(
-        v, BitVec(v.width(), static_cast<int64_t>(uint64_t{1} << bit_)),
-        v.width());
-  }
-
- private:
-  NodeId node_;
-  int bit_;
-};
-}  // namespace
-
 TEST(Injection, CombinationalTransformAppliesAndDisarms) {
   Design d("wire");
   NodeId a = d.input("a", 8);
   NodeId o = d.output("o", a);
   sim::Simulator sim(d);
-  ForceBitHigh force(o, 6);
-  sim.set_fault_injector(&force);
+  sim::LaneFault force;  // force bit 6 of the output high
+  force.kind = sim::LaneFault::Kind::kStuck1;
+  force.node = o;
+  force.bit = 6;
+  sim.arm_fault(force);
   sim.set_input("a", 1);
   sim.eval();
   EXPECT_EQ(sim.output_i64("o"), 65);
-  sim.set_fault_injector(nullptr);
+  sim.arm_fault({});
   sim.eval();
   EXPECT_EQ(sim.output_i64("o"), 1);
 }

@@ -15,6 +15,12 @@ struct CaseParam {
   int sign;
 };
 
+// A readable, deterministic GetParam() in the CTest name (gtest's default
+// dump prints the struct bytes, uninitialized padding included).
+void PrintTo(const CaseParam& c, std::ostream* os) {
+  *os << "L=" << c.L << " H=" << c.H << " sign=" << (c.sign > 0 ? '+' : '-');
+}
+
 class Ieee1180Cases : public ::testing::TestWithParam<CaseParam> {};
 
 TEST_P(Ieee1180Cases, ChenWangPassesEachStandardCase) {

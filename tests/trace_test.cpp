@@ -84,15 +84,14 @@ void expect_connected_tree(const std::vector<SpanInfo>& spans,
 
 /// Name multiset of the spans that are deterministic across worker counts.
 /// par.chunk spans exist only when a pool actually shards the loop, and the
-/// batch sweep spans depend on the execution strategy: jobs=1 streams every
-/// site through one refilling testbench.batch_stream sweep, while jobs>1
-/// shards lane groups, each a testbench.batch_run.
+/// number of testbench.batch_stream sweeps depends on the strategy: jobs=1
+/// streams every site through one refilling sweep, while jobs>1 runs one
+/// sweep per lane group.
 std::map<std::string, int> deterministic_names(
     const std::vector<SpanInfo>& spans) {
   std::map<std::string, int> names;
   for (const SpanInfo& s : spans)
-    if (s.name != "par.chunk" && s.name != "testbench.batch_run" &&
-        s.name != "testbench.batch_stream")
+    if (s.name != "par.chunk" && s.name != "testbench.batch_stream")
       ++names[s.name];
   return names;
 }
@@ -186,11 +185,9 @@ TEST_F(TraceTest, CampaignSpanTreeAndResultsAgreeAcrossJobs) {
     return n;
   };
   // The strategy-dependent sweep spans: one streaming sweep serially, one
-  // sweep per lane group under the pool.
+  // sweep per lane group (24 sites / 4 lanes) under the pool.
   EXPECT_EQ(count_named(serial_spans, "testbench.batch_stream"), 1);
-  EXPECT_EQ(count_named(serial_spans, "testbench.batch_run"), 0);
-  EXPECT_EQ(count_named(parallel_spans, "testbench.batch_stream"), 0);
-  EXPECT_GT(count_named(parallel_spans, "testbench.batch_run"), 0);
+  EXPECT_EQ(count_named(parallel_spans, "testbench.batch_stream"), 6);
   const auto count_chunks = [&](const std::vector<SpanInfo>& spans) {
     return count_named(spans, "par.chunk");
   };
