@@ -105,7 +105,7 @@ RoundResult run_round(int queue_capacity, int jobs, int requests,
   // Windowed storm: each submitter keeps up to kWindow requests in flight,
   // draining the oldest future once the window fills. Response latency is
   // measured by the server itself (the svc.request_ns histogram runs
-  // admission -> response).
+  // admission -> response over served requests; shed ones are not timed).
   constexpr size_t kWindow = 8;
   std::atomic<int64_t> ok{0}, shed{0};
   const auto settle = [&](std::string response) {

@@ -86,11 +86,9 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
   std::vector<HangWatch> watches(static_cast<size_t>(lanes));
   std::vector<size_t> job_of(static_cast<size_t>(lanes), 0);
   std::vector<size_t> want(static_cast<size_t>(lanes), 0);
-  std::vector<char> active(static_cast<size_t>(lanes), 0);
-  std::vector<char> idle(static_cast<size_t>(lanes), 0);
+  std::vector<char> running(static_cast<size_t>(lanes), 0);
   size_t next = 0;
-  int active_count = 0;
-  int idle_count = 0;
+  int running_count = 0;
 
   // Fresh driver/monitor state machines over the lane view, exactly as
   // StreamTestbench constructs them, plus the job's stimulus queue.
@@ -103,13 +101,13 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     for (const idct::Block& b : jobs[job_of[sl]].inputs)
       sources[sl]->queue(b);
     want[sl] = jobs[job_of[sl]].inputs.size();
-    active[sl] = 1;
-    ++active_count;
+    running[sl] = 1;
+    ++running_count;
   };
 
   // Initial fill: arm before reset — the same contract as run(), so
   // reset_all fires each lane's cycle-0 SEU on the reset state. Lanes with
-  // no job leave the sweep immediately.
+  // no job idle, disarmed and undriven, to the end of the sweep.
   for (int l = 0; l < lanes; ++l) {
     if (static_cast<size_t>(l) < jobs.size())
       sim_.arm_lane_fault(l, jobs[static_cast<size_t>(l)].fault);
@@ -117,15 +115,11 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
       sim_.disarm_lane_fault(l);
   }
   sim_.reset_all();
-  for (int l = 0; l < lanes; ++l) {
-    if (static_cast<size_t>(l) < jobs.size()) {
-      job_of[static_cast<size_t>(l)] = static_cast<size_t>(l);
-      bind_lane(l);
-    } else {
-      sim_.retire_lane(l);
-    }
-  }
   next = std::min(static_cast<size_t>(lanes), jobs.size());
+  for (size_t j = 0; j < next; ++j) {
+    job_of[j] = j;
+    bind_lane(static_cast<int>(j));
+  }
 
   auto finish_lane = [&](int l, LaneEnd end) {
     const size_t sl = static_cast<size_t>(l);
@@ -143,66 +137,47 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
                                     sim_.lane_cycle(l),
                                     sources[sl]->matrix_start_cycles(),
                                     sinks[sl]->matrix_end_cycles());
-    active[sl] = 0;
-    --active_count;
+    running[sl] = 0;
+    --running_count;
     // The lane idles (fault disarmed, no stimulus) until the refill policy
-    // hands it the next job; with nothing left to stream it leaves the
-    // sweep for good.
+    // hands it the next job, or to the end of the sweep once none is left.
     sim_.disarm_lane_fault(l);
-    if (next < jobs.size()) {
-      idle[sl] = 1;
-      ++idle_count;
-    } else {
-      sim_.retire_lane(l);
-    }
     if (on_done) on_done(j, r);
   };
 
-  while (active_count > 0 || next < jobs.size()) {
+  while (running_count > 0 || next < jobs.size()) {
     // Per-lane watchdog on the lane's own clock — StreamTestbench's
     // max_cycles contract, so a hang classifies at the same budget
     // regardless of when its lane started.
     for (int l = 0; l < lanes; ++l)
-      if (active[static_cast<size_t>(l)] &&
+      if (running[static_cast<size_t>(l)] &&
           sim_.lane_cycle(l) >= max_cycles)
         finish_lane(l, LaneEnd::kWatchdog);
-    // Refill: once at least half the live lanes sit idle (or nothing is
-    // left running), every idle lane restarts on the next pending job, in
-    // ascending lane order — deterministic at any lane count.
-    if (next < jobs.size() && idle_count > 0 && idle_count >= active_count) {
+    // Refill: once at least half the lanes sit idle, every idle lane
+    // restarts on the next pending job, in ascending lane order —
+    // deterministic at any lane count. While jobs are pending every lane
+    // has had one, so a lane that is not running is idle.
+    if (next < jobs.size() && 2 * running_count <= lanes) {
       for (int l = 0; l < lanes && next < jobs.size(); ++l) {
         const size_t sl = static_cast<size_t>(l);
-        if (!idle[sl]) continue;
+        if (running[sl]) continue;
         job_of[sl] = next++;
         sim_.refill_lane(l, jobs[job_of[sl]].fault);
         bind_lane(l);
-        idle[sl] = 0;
-        --idle_count;
         ++refills_;
       }
     }
-    // Jobs exhausted: lanes still idle leave the sweep so the remaining
-    // stragglers pay only for themselves.
-    if (next >= jobs.size() && idle_count > 0) {
-      for (int l = 0; l < lanes; ++l) {
-        const size_t sl = static_cast<size_t>(l);
-        if (!idle[sl]) continue;
-        idle[sl] = 0;
-        --idle_count;
-        sim_.retire_lane(l);
-      }
-    }
-    if (active_count == 0) continue;
-    // One StreamTestbench cycle, in its order, for every active lane:
+    if (running_count == 0) continue;
+    // One StreamTestbench cycle, in its order, for every running lane:
     // drive, settle all lanes together, consume, check, clock edge.
     for (int l = 0; l < lanes; ++l) {
-      if (!active[static_cast<size_t>(l)]) continue;
+      if (!running[static_cast<size_t>(l)]) continue;
       sources[static_cast<size_t>(l)]->pre_cycle();
       sinks[static_cast<size_t>(l)]->pre_cycle();
     }
     sim_.eval_all();
     for (int l = 0; l < lanes; ++l) {
-      if (!active[static_cast<size_t>(l)]) continue;
+      if (!running[static_cast<size_t>(l)]) continue;
       sources[static_cast<size_t>(l)]->post_eval();
       sinks[static_cast<size_t>(l)]->post_eval();
       monitors[static_cast<size_t>(l)]->sample();
@@ -210,7 +185,7 @@ std::vector<BatchLaneResult> BatchStreamTestbench::run_jobs(
     sim_.step_all();
     for (int l = 0; l < lanes; ++l) {
       const size_t sl = static_cast<size_t>(l);
-      if (!active[sl]) continue;
+      if (!running[sl]) continue;
       if (sinks[sl]->matrices().size() >= want[sl])
         finish_lane(l, LaneEnd::kDone);
       else if (watches[sl].repeats(sim_, l, *sources[sl], *sinks[sl]))

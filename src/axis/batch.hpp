@@ -13,10 +13,10 @@
 // same run on the interpreter oracle.
 //
 // Divergence handling: a lane is done when its sink has collected its
-// quota of matrices; done lanes stop being driven and sampled and either
-// take the next pending job (refill) or are retired from the simulator —
-// the lane-major arrays compact, so the remaining sweep only pays for the
-// lanes still running and a single straggler degrades toward 1-lane cost.
+// quota of matrices; done lanes stop being driven and sampled and idle,
+// fault disarmed, until they take the next pending job (refill). With no
+// job left a lane idles to the end of the sweep, which always runs at the
+// simulator's full lane width.
 // A lane still unfinished at max_cycles on its own clock is flagged hung
 // (StreamTestbench throws sim::SimTimeout for the same condition; campaign
 // code maps both to the hang outcome).
@@ -124,9 +124,10 @@ class BatchStreamTestbench {
   /// refilling freed lanes with fresh jobs instead of draining a whole
   /// group behind a straggler. Lanes that finish (or hang — each lane gets
   /// its own `max_cycles` budget on its own clock) go idle; once at least
-  /// half the live lanes are idle (or no lane is left running), every idle
-  /// lane is refilled via sim::BatchSimulator::refill_lane with the next
-  /// pending jobs, in ascending lane order. Results land in job order.
+  /// half the lanes idle, every idle lane is refilled via
+  /// sim::BatchSimulator::refill_lane with the next pending jobs, in
+  /// ascending lane order. Lanes without a job (at the start, or after the
+  /// last refill) idle to the end of the sweep. Results land in job order.
   /// `on_done(job, result)` fires as each job completes, in completion
   /// order — campaign progress hooks ride on it. `hang_check_from` is as
   /// in run(), on each lane's own clock.

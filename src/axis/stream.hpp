@@ -47,10 +47,4 @@ Beat input_row_beat(const idct::Block& block, int r);
 /// All 8 input beats of a matrix.
 std::vector<Beat> matrix_to_beats(const idct::Block& block);
 
-/// Store an output beat (9-bit lanes, sign-extended) into row `r`.
-void store_output_beat(const Beat& beat, idct::Block& block, int r);
-
-/// Reassemble a matrix from 8 output beats (asserts beats.size() == 8).
-idct::Block beats_to_matrix(const std::vector<Beat>& beats);
-
 }  // namespace hlshc::axis

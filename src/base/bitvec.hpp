@@ -23,9 +23,10 @@ class BitVec {
   BitVec() : width_(1), value_(0) {}
 
   /// Value is truncated to `width` bits and sign-extended internally.
-  BitVec(int width, int64_t value) : width_(width), value_(wrap(width, value)) {
+  BitVec(int width, int64_t value) : width_(width) {
     HLSHC_CHECK(width >= 1 && width <= kMaxWidth,
                 "BitVec width " << width << " out of range [1,64]");
+    value_ = wrap(width, value);  // only after the check: wrap shifts by width
   }
 
   static BitVec zero(int width) { return BitVec(width, 0); }

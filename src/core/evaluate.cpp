@@ -1,6 +1,5 @@
 #include "core/evaluate.hpp"
 
-#include "axis/batch.hpp"
 #include "axis/testbench.hpp"
 #include "base/rng.hpp"
 #include "obs/event_log.hpp"
@@ -21,58 +20,19 @@ DesignEvaluation evaluate_axis_design(const netlist::Design& design,
   // 1+2: simulate, verify, measure. Stimulus, reference model and the
   // accept/reject judgement are the workload's (the same hooks the fault
   // campaigns classify against, so the two paths cannot drift).
-  const bool batched =
-      options.lanes > 1 && options.engine == sim::EngineKind::kCompiled;
-  if (batched) {
-    // N independent stimulus sets per sweep: lane l streams the seed+l
-    // set, so one batched run both verifies lane 0's canonical stimulus
-    // (bitwise the single-stimulus trajectory) and widens the functional
-    // check.
-    sim::BatchSimulator bsim(design, options.lanes);
-    if (options.deadline) bsim.set_deadline(options.deadline);
-    axis::BatchStreamTestbench tb(bsim);
-    std::vector<std::vector<workload::Frame>> lane_ins(
-        static_cast<size_t>(options.lanes));
-    for (int l = 0; l < options.lanes; ++l)
-      lane_ins[static_cast<size_t>(l)] = workload::eval_input_set(
-          spec, options.matrices, options.seed + static_cast<uint64_t>(l),
-          options.realistic_inputs);
-    auto results = tb.run(lane_ins, options.max_cycles);
-    bool all_ok = true;
-    for (int l = 0; l < options.lanes; ++l) {
-      const axis::BatchLaneResult& r = results[static_cast<size_t>(l)];
-      // The single-stimulus path propagates SimTimeout out of the
-      // testbench; keep that contract for any wedged lane.
-      if (r.hung)
-        throw sim::SimTimeout("stream testbench wedged on '" + design.name() +
-                                  "' (batched lane " + std::to_string(l) +
-                                  ')',
-                              options.max_cycles);
-      all_ok = all_ok && r.clean &&
-               workload::diff_outputs(
-                   spec,
-                   workload::reference_outputs(spec,
-                                               lane_ins[static_cast<size_t>(l)]),
-                   r.matrices) == 0;
-    }
-    ev.functional = all_ok;
-    ev.latency_cycles = results[0].timing.latency_cycles;
-    ev.periodicity_cycles = results[0].timing.periodicity_cycles;
-  } else {
-    std::unique_ptr<sim::Engine> sim =
-        sim::make_engine(design, options.engine);
-    if (options.deadline) sim->set_deadline(options.deadline);
-    axis::StreamTestbench tb(*sim);
-    std::vector<workload::Frame> ins = workload::eval_input_set(
-        spec, options.matrices, options.seed, options.realistic_inputs);
-    auto outs = tb.run(ins, options.max_cycles);
-    ev.functional =
-        tb.monitor().clean() &&
-        workload::diff_outputs(
-            spec, workload::reference_outputs(spec, ins), outs) == 0;
-    ev.latency_cycles = tb.timing().latency_cycles;
-    ev.periodicity_cycles = tb.timing().periodicity_cycles;
-  }
+  std::unique_ptr<sim::Engine> sim =
+      sim::make_engine(design, options.engine);
+  if (options.deadline) sim->set_deadline(options.deadline);
+  axis::StreamTestbench tb(*sim);
+  std::vector<workload::Frame> ins = workload::eval_input_set(
+      spec, options.matrices, options.seed, options.realistic_inputs);
+  auto outs = tb.run(ins, options.max_cycles);
+  ev.functional =
+      tb.monitor().clean() &&
+      workload::diff_outputs(
+          spec, workload::reference_outputs(spec, ins), outs) == 0;
+  ev.latency_cycles = tb.timing().latency_cycles;
+  ev.periodicity_cycles = tb.timing().periodicity_cycles;
 
   // 3: synthesize with and without DSP mapping.
   synth::NormalizedSynth ns =

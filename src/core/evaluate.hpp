@@ -53,14 +53,6 @@ struct EvaluateOptions {
   /// Which simulation engine runs the stream testbench. The compiled engine
   /// is the default; the interpreter is the differential-testing oracle.
   sim::EngineKind engine = sim::EngineKind::kCompiled;
-  /// Stimulus lanes for the functional check. 1 (the default) runs the
-  /// classic single-stimulus testbench. N > 1 (compiled engine only) runs
-  /// N independent stimulus sets — seed, seed+1, ..., seed+N-1 — through
-  /// one lane-batched sweep (sim::BatchSimulator); `functional` then
-  /// requires every lane bit-exact and protocol-clean, while the reported
-  /// T_L/T_P come from lane 0, whose trajectory (same seed, same per-cycle
-  /// protocol) is bitwise identical to the single-stimulus run.
-  int lanes = 1;
   synth::SynthOptions synth;
   /// Per-request wall budget (synthesis service): armed on the measurement
   /// engine so a runaway simulation throws DeadlineExceeded mid-run.

@@ -119,9 +119,12 @@ CampaignReport run_campaign(const Design& d,
                             const workload::WorkloadSpec& spec,
                             const std::vector<FaultSite>& sites,
                             const CampaignOptions& options) {
-  const int lanes = std::max(
-      1, std::min(options.lanes == 0 ? par::default_lanes() : options.lanes,
-                  par::kMaxLanes));
+  // The pool is never wider than the campaign: an 8-site campaign at 32
+  // lanes builds an 8-lane batch rather than sweeping 24 idle lanes.
+  const int lanes = static_cast<int>(std::max<int64_t>(
+      1, std::min<int64_t>(
+             {options.lanes == 0 ? par::default_lanes() : options.lanes,
+              par::kMaxLanes, static_cast<int64_t>(sites.size())})));
   // Work shards over the pool in groups of `lanes` sites — the jobs clamp
   // follows the group count.
   const int64_t groups =

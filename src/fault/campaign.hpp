@@ -99,6 +99,7 @@ struct CampaignOptions {
   int jobs = 1;
   /// Simulation lanes per instruction-stream sweep. 0 (the default) means
   /// par::default_lanes() (HLSHC_LANES, else 32); 1 runs a 1-lane batch.
+  /// The batch is never wider than the site count.
   /// Classifications — counts AND the per-run log — are bitwise identical
   /// at every {lanes, jobs} combination: each lane replays the exact
   /// sim::Engine per-cycle protocol.

@@ -2,6 +2,17 @@
 
 namespace hlshc::idct {
 
+namespace {
+
+/// 181 * v + 128, wrapping like the 32-bit hardware datapath. The product
+/// overflows int32_t on uniform-random coefficient blocks, so it is formed
+/// in uint32_t (modular) and converted back (modular since C++20).
+inline int32_t mul181_round(int32_t v) {
+  return static_cast<int32_t>(181u * static_cast<uint32_t>(v) + 128u);
+}
+
+}  // namespace
+
 // The row pass computes an 11-bit-scaled 1-D IDCT:
 // intermediate precision is 32 bits (the paper notes the Verilog version
 // keeps full 32-bit arithmetic; Chisel later infers narrower widths).
@@ -44,8 +55,8 @@ void idct_row(int32_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   // fourth stage
   blk[0] = (x7 + x1) >> 8;
@@ -85,8 +96,8 @@ void idct_row_straight(int32_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   blk[0] = (x7 + x1) >> 8;
   blk[1] = (x3 + x2) >> 8;
@@ -134,8 +145,8 @@ void idct_col(int32_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   // fourth stage
   blk[8 * 0] = iclip((x7 + x1) >> 14);
@@ -176,8 +187,8 @@ void idct_col_straight(int32_t* blk) {
   x8 -= x3;
   x3 = x0 + x2;
   x0 -= x2;
-  x2 = (181 * (x4 + x5) + 128) >> 8;
-  x4 = (181 * (x4 - x5) + 128) >> 8;
+  x2 = mul181_round(x4 + x5) >> 8;
+  x4 = mul181_round(x4 - x5) >> 8;
 
   blk[8 * 0] = iclip((x7 + x1) >> 14);
   blk[8 * 1] = iclip((x3 + x2) >> 14);

@@ -62,8 +62,9 @@ inline constexpr int kMaxLanes = 64;
 /// Fixed (not hardware-derived) so batched campaign results and bench
 /// parameters are reproducible across hosts. 32 packs four AVX-512 (or
 /// eight AVX2) vectors per instruction — wide enough to amortize dispatch,
-/// measured fastest on the campaign benchmarks; lane retirement keeps
-/// partially-drained batches from paying for the full width.
+/// measured fastest on the campaign benchmarks. A campaign with fewer sites
+/// builds a narrower batch (fault::run_campaign caps the width at its site
+/// count), and refills keep the lanes of a wide one busy.
 inline constexpr int kDefaultLanes = 32;
 
 /// The one validator for user-provided worker counts (the HLSHC_JOBS

@@ -21,22 +21,6 @@ inline int64_t canon(int width, int64_t v) {
   return BitVec(width, v).to_int64();
 }
 
-/// Left-packs a lane-major array from `old_stride` columns down to
-/// `new_stride`, keeping old column c at newcol[c] (-1 = dropped). Every
-/// write lands at or before its read, so the in-place packing is safe.
-void compact_columns(LaneVec& v, size_t rows, int old_stride,
-                     const std::vector<int>& newcol, int new_stride) {
-  const size_t a = static_cast<size_t>(old_stride);
-  const size_t b = static_cast<size_t>(new_stride);
-  for (size_t r = 0; r < rows; ++r) {
-    const size_t src = r * a;
-    const size_t dst = r * b;
-    for (size_t c = 0; c < a; ++c)
-      if (newcol[c] >= 0) v[dst + static_cast<size_t>(newcol[c])] = v[src + c];
-  }
-  v.resize(rows * b);
-}
-
 }  // namespace
 
 BatchSimulator::BatchSimulator(const netlist::Design& design, int lanes)
@@ -45,15 +29,10 @@ BatchSimulator::BatchSimulator(const netlist::Design& design, int lanes)
               "lane count " << lanes << " outside [1, 64]");
   design_.validate();
   const size_t l = static_cast<size_t>(lanes_);
-  active_ = lanes_;
-  live_ = lanes_;
   values_.assign(plan_->slot_count() * l, 0);
   state_.assign(plan_->slot_count() * l, 0);
   for (const MemShape& m : plan_->mem_shapes())
     mem_.emplace_back(static_cast<size_t>(m.depth) * l, int64_t{0});
-  phys_.resize(l);
-  for (int i = 0; i < lanes_; ++i) phys_[static_cast<size_t>(i)] = i;
-  retired_.assign(l, 0);
   base_.assign(l, 0);
   faults_.assign(l, LaneFault{});
   seu_fired_.assign(l, 0);
@@ -77,32 +56,11 @@ void BatchSimulator::restore_consts(int lane) {
   // Constants are hoisted out of the per-cycle stream; rematerialize this
   // lane's const slots so a transform armed earlier cannot outlive itself
   // (the interpreter recomputes every const on every eval).
-  if (retired_[static_cast<size_t>(lane)])
-    return;  // the next reset_all() restores everything
   for (const ExecInstr& in : plan_->const_instrs())
-    values_[static_cast<size_t>(in.dst) * static_cast<size_t>(active_) +
-            col(lane)] = in.imm;
-}
-
-void BatchSimulator::revive_lanes() {
-  if (live_ == lanes_) return;
-  if (active_ != lanes_) {
-    const size_t l = static_cast<size_t>(lanes_);
-    values_.assign(plan_->slot_count() * l, 0);
-    state_.assign(plan_->slot_count() * l, 0);
-    for (size_t m = 0; m < mem_.size(); ++m)
-      mem_[m].assign(
-          static_cast<size_t>(plan_->mem_shapes()[m].depth) * l, int64_t{0});
-    active_ = lanes_;
-    stream_kernel_ = select_stream_kernel(lanes_);
-  }
-  for (int i = 0; i < lanes_; ++i) phys_[static_cast<size_t>(i)] = i;
-  std::fill(retired_.begin(), retired_.end(), uint8_t{0});
-  live_ = lanes_;
+    values_[at(static_cast<size_t>(in.dst), lane)] = in.imm;
 }
 
 void BatchSimulator::reset_all() {
-  revive_lanes();  // retirement never outlives a reset
   const size_t L = static_cast<size_t>(lanes_);
   for (const RegCommit& rc : plan_->reg_commits()) {
     int64_t* s = state_.data() + static_cast<size_t>(rc.reg) * L;
@@ -138,10 +96,7 @@ void BatchSimulator::poke_input(int lane, NodeId id, int64_t value) {
   HLSHC_CHECK(n.op == Op::Input,
               "poke target " << id << " is not an input of design '"
                              << design_.name() << '\'');
-  HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
-              "poke on retired lane " << lane);
-  values_[static_cast<size_t>(id) * static_cast<size_t>(active_) +
-          col(lane)] = canon(n.width, value);
+  values_[at(static_cast<size_t>(id), lane)] = canon(n.width, value);
   evaluated_ = false;
 }
 
@@ -150,35 +105,29 @@ BitVec BatchSimulator::value(int lane, NodeId id) const {
 }
 
 int64_t BatchSimulator::mem_peek(int lane, int mem, int addr) const {
-  return mem_[static_cast<size_t>(mem)]
-             [static_cast<size_t>(addr) * static_cast<size_t>(active_) +
-              col(lane)];
+  return mem_[static_cast<size_t>(mem)][at(static_cast<size_t>(addr), lane)];
 }
 
 void BatchSimulator::mem_poke(int lane, int mem, int addr, int64_t value) {
-  mem_[static_cast<size_t>(mem)]
-      [static_cast<size_t>(addr) * static_cast<size_t>(active_) + col(lane)] =
-          canon(plan_->mem_shapes()[static_cast<size_t>(mem)].width, value);
+  mem_[static_cast<size_t>(mem)][at(static_cast<size_t>(addr), lane)] =
+      canon(plan_->mem_shapes()[static_cast<size_t>(mem)].width, value);
   evaluated_ = false;
 }
 
 void BatchSimulator::snapshot_values(int lane, int64_t* out) const {
-  const size_t L = static_cast<size_t>(active_);
-  for (size_t s = 0, p = col(lane); s < plan_->slot_count(); ++s, p += L)
+  const size_t L = static_cast<size_t>(lanes_);
+  for (size_t s = 0, p = at(0, lane); s < plan_->slot_count(); ++s, p += L)
     out[s] = values_[p];
 }
 
 void BatchSimulator::lane_state(int lane, std::vector<int64_t>& out) const {
-  HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
-              "state read on retired lane " << lane);
-  const size_t L = static_cast<size_t>(active_);
-  const size_t p = col(lane);
+  const size_t L = static_cast<size_t>(lanes_);
   for (const RegCommit& rc : plan_->reg_commits())
-    out.push_back(state_[static_cast<size_t>(rc.reg) * L + p]);
+    out.push_back(state_[at(static_cast<size_t>(rc.reg), lane)]);
   for (const LaneVec& mem : mem_)
-    for (size_t w = p; w < mem.size(); w += L) out.push_back(mem[w]);
+    for (size_t w = at(0, lane); w < mem.size(); w += L) out.push_back(mem[w]);
   for (NodeId in : design_.inputs())
-    out.push_back(values_[static_cast<size_t>(in) * L + p]);
+    out.push_back(values_[at(static_cast<size_t>(in), lane)]);
 }
 
 bool BatchSimulator::timed_fault_pending(int lane) const {
@@ -211,9 +160,7 @@ StreamKernelFn select_stream_kernel(int lanes) {
 }
 
 void BatchSimulator::apply_comb_entry(const CombEntry& e) {
-  int64_t& v =
-      values_[static_cast<size_t>(e.slot) * static_cast<size_t>(active_) +
-              col(e.lane)];
+  int64_t& v = values_[at(static_cast<size_t>(e.slot), e.lane)];
   if (e.kind != LaneFault::Kind::kTransient || cycle_ == e.cycle)
     v = fault_bit(e.kind, e.bit, e.width, v);
 }
@@ -224,13 +171,12 @@ void BatchSimulator::eval_stream_injected() {
   // and then transform (the interpreter's recompute-then-transform order).
   for (const CombEntry& e : comb_entries_) {
     if (e.is_const)
-      values_[static_cast<size_t>(e.slot) * static_cast<size_t>(active_) +
-              col(e.lane)] = e.imm;
+      values_[at(static_cast<size_t>(e.slot), e.lane)] = e.imm;
     if (e.is_input || e.is_const) apply_comb_entry(e);
   }
   const uint8_t* flag = comb_slot_flag_.data();
   for (const ExecInstr& in : plan_->instrs()) {
-    exec_instr_lanes(in, values_.data(), state_.data(), &mem_, active_);
+    exec_instr_lanes(in, values_.data(), state_.data(), &mem_, lanes_);
     if (flag[in.dst]) {
       for (const CombEntry& e : comb_entries_)
         if (e.slot == in.dst && !e.is_input && !e.is_const)
@@ -242,14 +188,14 @@ void BatchSimulator::eval_stream_injected() {
 void BatchSimulator::eval_all() {
   if (!comb_armed_)
     stream_kernel_(plan_->instrs().data(), plan_->instrs().size(),
-                   values_.data(), state_.data(), &mem_, active_);
+                   values_.data(), state_.data(), &mem_, lanes_);
   else
     eval_stream_injected();
   evaluated_ = true;
 }
 
 void BatchSimulator::commit_all() {
-  const size_t L = static_cast<size_t>(active_);
+  const size_t L = static_cast<size_t>(lanes_);
   // Latch registers: reads go to the pre-edge value slots, writes to the
   // separate state array, so ordering within the loop cannot matter.
   for (const RegCommit& rc : plan_->reg_commits()) {
@@ -279,12 +225,10 @@ void BatchSimulator::commit_all() {
 }
 
 void BatchSimulator::flip_state_bit(int lane, const LaneFault& seu) {
-  const size_t L = static_cast<size_t>(active_);
   const bool reg = seu.kind == LaneFault::Kind::kSeuReg;
-  int64_t& w =
-      reg ? state_[static_cast<size_t>(seu.node) * L + col(lane)]
-          : mem_[static_cast<size_t>(seu.mem)]
-                [static_cast<size_t>(seu.addr) * L + col(lane)];
+  int64_t& w = reg ? state_[at(static_cast<size_t>(seu.node), lane)]
+                   : mem_[static_cast<size_t>(seu.mem)]
+                         [at(static_cast<size_t>(seu.addr), lane)];
   w = fault_bit(seu.kind, seu.bit,
                 reg ? design_.node(seu.node).width
                     : plan_->mem_shapes()[static_cast<size_t>(seu.mem)].width,
@@ -294,7 +238,6 @@ void BatchSimulator::flip_state_bit(int lane, const LaneFault& seu) {
 
 void BatchSimulator::seu_flips() {
   for (int l = 0; l < lanes_; ++l) {
-    if (retired_[static_cast<size_t>(l)]) continue;
     const LaneFault& f = faults_[static_cast<size_t>(l)];
     if (!f.seu() || seu_fired_[static_cast<size_t>(l)] || cycle_ != f.cycle)
       continue;
@@ -326,7 +269,6 @@ void BatchSimulator::rebuild_comb_index() {
   std::fill(comb_slot_flag_.begin(), comb_slot_flag_.end(), uint8_t{0});
   comb_armed_ = false;
   for (int l = 0; l < lanes_; ++l) {
-    if (retired_[static_cast<size_t>(l)]) continue;
     const LaneFault& f = faults_[static_cast<size_t>(l)];
     if (!f.combinational()) continue;
     const netlist::Node& n = design_.node(f.node);
@@ -354,8 +296,7 @@ void BatchSimulator::arm_lane_fault(int lane, const LaneFault& fault) {
   rebased.cycle += base_[static_cast<size_t>(lane)];  // lane -> sweep clock
   faults_[static_cast<size_t>(lane)] = rebased;
   seu_fired_[static_cast<size_t>(lane)] = 0;
-  // Heal any const slot a previously armed transform rewrote. (On a retired
-  // lane only the bookkeeping updates; the next reset_all() revives it.)
+  // Heal any const slot a previously armed transform rewrote.
   restore_consts(lane);
   rebuild_comb_index();
   evaluated_ = false;
@@ -370,24 +311,16 @@ LaneFault BatchSimulator::lane_fault(int lane) const {
 void BatchSimulator::refill_lane(int lane, const LaneFault& fault) {
   HLSHC_CHECK(lane >= 0 && lane < lanes_,
               "lane " << lane << " outside [0, " << lanes_ << ')');
-  HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
-              "refill of retired lane " << lane
-                                        << " — retired columns leave the "
-                                           "storage; keep a refillable lane "
-                                           "live instead");
   // Per-lane Engine::reset(): this lane's column back to the reset state,
   // every other column untouched.
-  const size_t L = static_cast<size_t>(active_);
-  const size_t p = col(lane);
   for (const RegCommit& rc : plan_->reg_commits())
-    state_[static_cast<size_t>(rc.reg) * L + p] = rc.init;
+    state_[at(static_cast<size_t>(rc.reg), lane)] = rc.init;
   for (size_t m = 0; m < mem_.size(); ++m) {
-    LaneVec& mem = mem_[m];
     const size_t depth = static_cast<size_t>(plan_->mem_shapes()[m].depth);
-    for (size_t w = 0; w < depth; ++w) mem[w * L + p] = 0;
+    for (size_t w = 0; w < depth; ++w) mem_[m][at(w, lane)] = 0;
   }
   for (NodeId in : design_.inputs())
-    values_[static_cast<size_t>(in) * L + p] = 0;
+    values_[at(static_cast<size_t>(in), lane)] = 0;
   base_[static_cast<size_t>(lane)] = cycle_;
   // Validates, restores consts, rebuilds the comb index, and rebases the
   // fault cycle onto the sweep clock (arm_lane_fault reads base_).
@@ -399,51 +332,6 @@ void BatchSimulator::refill_lane(int lane, const LaneFault& fault) {
     flip_state_bit(lane, f);
     seu_fired_[static_cast<size_t>(lane)] = 1;
   }
-}
-
-void BatchSimulator::retire_lane(int lane) {
-  HLSHC_CHECK(lane >= 0 && lane < lanes_,
-              "lane " << lane << " outside [0, " << lanes_ << ')');
-  HLSHC_CHECK(!retired_[static_cast<size_t>(lane)],
-              "lane " << lane << " already retired");
-  retired_[static_cast<size_t>(lane)] = 1;
-  --live_;
-  // Drop the lane's comb transforms (a fully-healthy remainder regains the
-  // fast stream path; transforms on a dead column would be harmless but
-  // wasted work).
-  if (comb_armed_) rebuild_comb_index();
-  // Deferred compaction: physically dropping columns costs a full pass over
-  // storage, so only pay it when at least half the columns are dead. Until
-  // then the dead columns keep computing values nobody reads.
-  if (live_ > 0 && live_ * 2 <= active_) compact_dead();
-}
-
-void BatchSimulator::compact_dead() {
-  std::vector<int> newcol(static_cast<size_t>(active_), -1);
-  {
-    std::vector<uint8_t> keep(static_cast<size_t>(active_), 0);
-    for (int l = 0; l < lanes_; ++l)
-      if (!retired_[static_cast<size_t>(l)] &&
-          phys_[static_cast<size_t>(l)] >= 0)
-        keep[static_cast<size_t>(phys_[static_cast<size_t>(l)])] = 1;
-    int nc = 0;
-    for (int p = 0; p < active_; ++p)
-      if (keep[static_cast<size_t>(p)]) newcol[static_cast<size_t>(p)] = nc++;
-  }
-  compact_columns(values_, plan_->slot_count(), active_, newcol, live_);
-  compact_columns(state_, plan_->slot_count(), active_, newcol, live_);
-  for (size_t m = 0; m < mem_.size(); ++m)
-    compact_columns(mem_[m],
-                    static_cast<size_t>(plan_->mem_shapes()[m].depth), active_,
-                    newcol, live_);
-  for (int l = 0; l < lanes_; ++l) {
-    int& p = phys_[static_cast<size_t>(l)];
-    p = (!retired_[static_cast<size_t>(l)] && p >= 0)
-            ? newcol[static_cast<size_t>(p)]
-            : -1;
-  }
-  active_ = live_;
-  stream_kernel_ = select_stream_kernel(active_);
 }
 
 // ---- the compiled sim::Engine ----------------------------------------------

@@ -32,7 +32,9 @@
 //
 // Lanes that diverge (finish, detect, hang) are masked out by the harness
 // (axis::BatchStreamTestbench) rather than forcing a batch-wide slow path:
-// the batch keeps stepping, finished lanes simply stop being driven/read.
+// the batch keeps stepping at full width, and a finished lane idles —
+// fault disarmed, ports undriven, values unread — until refill_lane hands
+// it a fresh trajectory or the sweep ends.
 #pragma once
 
 #include <cstddef>
@@ -82,8 +84,6 @@ class BatchSimulator {
 
   const netlist::Design& design() const { return design_; }
   int lanes() const { return lanes_; }
-  /// Lanes still being simulated (lanes() minus retired ones).
-  int active_lanes() const { return live_; }
   uint64_t cycle() const { return cycle_; }
   /// One lane's own cycle count: the sweep cycle minus the lane's start
   /// cycle. Equal to cycle() until the lane is refilled mid-sweep, after
@@ -113,12 +113,10 @@ class BatchSimulator {
   /// Drive one lane's Input node (canonicalized exactly like Engine::poke).
   void poke_input(int lane, netlist::NodeId id, int64_t value);
 
-  /// One lane's value of any node after the most recent settle. The lane
-  /// must not be retired.
+  /// One lane's value of any node after the most recent settle.
   BitVec value(int lane, netlist::NodeId id) const;
   int64_t value_i64(int lane, netlist::NodeId id) const {
-    return values_[static_cast<size_t>(id) * static_cast<size_t>(active_) +
-                   static_cast<size_t>(phys_[static_cast<size_t>(lane)])];
+    return values_[at(static_cast<size_t>(id), lane)];
   }
 
   /// Arms `fault` on one lane (replacing whatever was armed), healing any
@@ -143,7 +141,7 @@ class BatchSimulator {
   /// into `out` (node_count() entries).
   void snapshot_values(int lane, int64_t* out) const;
 
-  /// Restarts one live lane mid-sweep with a fresh trajectory: per-lane
+  /// Restarts one lane mid-sweep with a fresh trajectory: per-lane
   /// Engine::reset() (registers to init, memory/inputs to zero, consts
   /// rematerialized), the lane clock rebased to 0, `fault` armed on the
   /// new clock, and a lane-cycle-0 SEU fired on the reset state — the
@@ -152,20 +150,6 @@ class BatchSimulator {
   /// lets a fault campaign stream fresh sites into lanes freed by early
   /// finishers instead of draining a whole group behind a hang straggler.
   void refill_lane(int lane, const LaneFault& fault);
-
-  /// Removes a finished lane from the batch. Reading or poking a retired
-  /// lane is invalid until the next reset_all(), which revives every lane.
-  /// Remaining lanes' trajectories are unaffected. Physically, the lane's
-  /// column is only *marked* dead; columns are compacted out of the
-  /// lane-major arrays lazily, once at least half the storage is dead, so a
-  /// batch retiring N lanes pays O(log N) compaction passes instead of N.
-  /// This is what keeps a long-tail lane (e.g. a hang candidate running to
-  /// its cycle budget) from dragging the whole group: as siblings finish
-  /// and retire, the sweep shrinks toward scalar cost.
-  void retire_lane(int lane);
-  bool lane_retired(int lane) const {
-    return retired_[static_cast<size_t>(lane)] != 0;
-  }
 
   /// Appends one lane's full simulation state to `out`: every register,
   /// every memory word, then the value each input port holds (a port the
@@ -228,11 +212,10 @@ class BatchSimulator {
   void seu_flips();          ///< fire due SEU flips (cycle_ == fault.cycle)
   void restore_consts(int lane);
   void rebuild_comb_index();
-  size_t col(int lane) const {  ///< a live lane's physical column
-    return static_cast<size_t>(phys_[static_cast<size_t>(lane)]);
+  /// Index of row `row` (a value/state slot or a memory word), lane `lane`.
+  size_t at(size_t row, int lane) const {
+    return row * static_cast<size_t>(lanes_) + static_cast<size_t>(lane);
   }
-  void compact_dead();       ///< drop every dead column from storage
-  void revive_lanes();       ///< undo retirement: full-width arrays again
 
   const netlist::Design& design_;
   std::shared_ptr<const netlist::ExecPlan> plan_;
@@ -241,31 +224,23 @@ class BatchSimulator {
   void (*stream_kernel_)(const netlist::ExecInstr*, size_t, int64_t*,
                          int64_t*, std::vector<LaneVec>*, int) = nullptr;
   int lanes_ = 1;
-  int active_ = 1;  ///< current storage stride (live + dead-uncompacted)
-  int live_ = 1;    ///< lanes_ minus retired
   uint64_t cycle_ = 0;
   bool evaluated_ = false;
   std::shared_ptr<const Deadline> deadline_;
 
-  // Lane-major storage: slot s, (logical) lane l at s * active_ + phys_[l].
-  // Retirement compacts columns out, so the stride is active_, not lanes_.
+  // Lane-major storage: slot s, lane l at s * lanes_ + l.
   LaneVec values_;
   LaneVec state_;
-  std::vector<LaneVec> mem_;  ///< word w, lane l at w*active_+phys_[l]
+  std::vector<LaneVec> mem_;  ///< word w, lane l at w * lanes_ + l
 
-  /// Logical lane -> physical column; -1 once the column was compacted
-  /// away. A retired lane keeps a valid (dead) column until the next
-  /// compact_dead(). Identity after any reset_all().
-  std::vector<int> phys_;
-  std::vector<uint8_t> retired_;  ///< per logical lane
   /// Sweep cycle at which each lane's current trajectory started (0 after
   /// reset_all; the refill cycle after refill_lane). Armed fault cycles
   /// are stored rebased onto the sweep clock: faults_[l].cycle ==
   /// base_[l] + the lane-relative cycle the caller armed.
   std::vector<uint64_t> base_;
 
-  std::vector<LaneFault> faults_;      ///< per logical lane; kNone = disarmed
-  std::vector<uint8_t> seu_fired_;     ///< per logical lane: SEU applied
+  std::vector<LaneFault> faults_;      ///< per lane; kNone = disarmed
+  std::vector<uint8_t> seu_fired_;     ///< per lane: SEU applied
   std::vector<CombEntry> comb_entries_;      ///< armed comb faults, all lanes
   std::vector<uint8_t> comb_slot_flag_;      ///< per slot: any lane armed
   bool comb_armed_ = false;

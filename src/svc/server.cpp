@@ -132,7 +132,8 @@ std::future<std::string> Server::submit(const std::string& line) {
   try {
     req = parse_request(line, options_.max_request_bytes);
   } catch (const ProtocolError& e) {
-    finish(req, error_code_name(e.code()), admitted_ns, 0, trace);
+    finish(req, error_code_name(e.code()), admitted_ns, 0, trace,
+           /*served=*/false);
     promise->set_value(
         stamp_trace(error_response(Json(), e.code(), e.what()), trace));
     return future;
@@ -151,18 +152,20 @@ std::future<std::string> Server::submit(const std::string& line) {
     admitted.kv = {{"method", req.method}};
     obs::event_log().emit(std::move(admitted));
   }
+  // Shared, not moved into the task: a shed request is still accounted
+  // (method, design) after the queue refused its task.
+  auto shared = std::make_shared<const Request>(std::move(req));
   const bool accepted = queue_.try_submit(
-      [this, promise, req = std::move(req), deadline, admitted_ns,
-       trace]() mutable {
-        promise->set_value(process(req, deadline, admitted_ns, trace));
+      [this, promise, shared, deadline, admitted_ns, trace]() mutable {
+        promise->set_value(process(*shared, deadline, admitted_ns, trace));
       });
   if (!accepted) {
     // Shed at admission: O(1), no handler work consumed, and the hint tells
     // a well-behaved client how long to back off before retrying.
     obs::count("svc.shed");
-    finish(req, "overloaded", admitted_ns, 0, trace);
+    finish(*shared, "overloaded", admitted_ns, 0, trace, /*served=*/false);
     promise->set_value(stamp_trace(
-        error_response(req.id, ErrorCode::kOverloaded,
+        error_response(shared->id, ErrorCode::kOverloaded,
                        "admission queue full (capacity " +
                            std::to_string(options_.queue_capacity) + ')',
                        options_.retry_after_ms),
@@ -239,7 +242,7 @@ std::string Server::process(const Request& req,
                               "unknown exception in handler");
   }
   span.arg("outcome", outcome);
-  finish(req, outcome, admitted_ns, queue_ns, trace);
+  finish(req, outcome, admitted_ns, queue_ns, trace, /*served=*/true);
   return stamp_trace(std::move(response), trace);
 }
 
@@ -704,7 +707,7 @@ Json Server::handle_stats() const {
 
 void Server::finish(const Request& req, const std::string& outcome,
                     int64_t admitted_ns, int64_t queue_ns,
-                    const obs::TraceContext& trace) {
+                    const obs::TraceContext& trace, bool served) {
   const int64_t total_ns = obs::now_ns() - admitted_ns;
 
   // The recent-requests ring is always on: it is what the `trace` protocol
@@ -729,11 +732,12 @@ void Server::finish(const Request& req, const std::string& outcome,
   obs::Registry& reg = obs::registry();
   reg.counter(outcome == "ok" ? "svc.ok" : "svc.error." + outcome)->add(1);
   reg.counter(obs::labeled("svc.outcome", "code", outcome))->add(1);
-  reg.histogram("svc.request_ns")->record(total_ns);
+  if (served) reg.histogram("svc.request_ns")->record(total_ns);
   if (!req.method.empty()) {
     reg.counter(obs::labeled("svc.requests", "method", req.method))->add(1);
-    reg.histogram(obs::labeled("svc.request_ns", "method", req.method))
-        ->record(total_ns);
+    if (served)
+      reg.histogram(obs::labeled("svc.request_ns", "method", req.method))
+          ->record(total_ns);
   }
 
   obs::Event done;

@@ -27,7 +27,8 @@
 //     compile no matter how many clients ask.
 //
 // Metrics (when obs::enabled()): svc.requests / svc.ok / svc.error.<code> /
-// svc.shed counters, the svc.request_ns latency histogram — plus labeled
+// svc.shed counters, the svc.request_ns latency histogram (served requests
+// only; shed and unparseable ones are answered at admission) — plus labeled
 // series keyed per method and per workload (svc.requests{method=…},
 // svc.request_ns{method=…}, svc.requests{workload=…},
 // svc.outcome{code=…}) — par.queue.depth and svc.cache.* via their owning
@@ -167,10 +168,12 @@ class Server {
       const obs::Json& params,
       const std::shared_ptr<const Deadline>& deadline) const;
   /// Outcome accounting: labeled counters/histograms, the slow-request log,
-  /// and the recent-requests ring. Runs for every request, shed included.
+  /// and the recent-requests ring. Runs for every request, shed included;
+  /// only `served` requests (ones a worker processed) enter the latency
+  /// histograms, so answers given at admission do not dilute them.
   void finish(const Request& req, const std::string& outcome,
               int64_t admitted_ns, int64_t queue_ns,
-              const obs::TraceContext& trace);
+              const obs::TraceContext& trace, bool served);
 
   ServerOptions options_;
   DesignCache cache_;

@@ -563,18 +563,6 @@ std::vector<core::ScatterPoint> run_tasks(const char* label,
 
 }  // namespace
 
-std::vector<core::ScatterPoint> flow_dse(int jobs,
-                                         const CompileOptions& compile) {
-  // Flatten every flow's sweep into one task list so a single pool keeps all
-  // workers busy across flow boundaries (the Bambu sweep alone is 42 of the
-  // points). parallel_map writes each point into its input-order slot, so
-  // the scatter list is identical at any worker count.
-  std::vector<SweepTask> tasks;
-  for (const auto& flow : make_flows(compile))
-    for (SweepTask& t : flow->sweep_tasks()) tasks.push_back(std::move(t));
-  return run_tasks("flow_dse", std::move(tasks), jobs);
-}
-
 std::vector<core::ScatterPoint> full_dse(int jobs) {
   std::vector<SweepTask> tasks;
   // Axis 1+2: every flow's sweep (stage counts, scheduler objectives, tool

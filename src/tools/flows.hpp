@@ -101,11 +101,6 @@ Table2 build_table2(int jobs = 1, const CompileOptions& compile = {});
 /// records this as BENCH_dse.json with per-workload A/P/Q fronts.
 std::vector<core::ScatterPoint> full_dse(int jobs = 1);
 
-/// Just the classic narrowing-on flow sweeps (the paper's Fig. 1 set plus
-/// the new scheduler points), without the "+wide" and workload dimensions.
-std::vector<core::ScatterPoint> flow_dse(int jobs = 1,
-                                         const CompileOptions& compile = {});
-
 /// Renderers used by the benches.
 std::string render_table1();
 std::string render_table2(const Table2& table);

@@ -42,24 +42,9 @@ TEST(Stream, BeatPackingRoundTrip) {
                 idct::at(b, r, c));
 }
 
-TEST(Stream, OutputBeatSignExtension) {
-  Beat beat;
-  for (int c = 0; c < kLanes; ++c)
-    beat.lanes[static_cast<size_t>(c)] = BitVec(kOutElemWidth, -256 + c);
-  beat.last = true;
-  idct::Block b{};
-  store_output_beat(beat, b, 0);
-  for (int c = 0; c < 8; ++c) EXPECT_EQ(idct::at(b, 0, c), -256 + c);
-}
-
 TEST(Stream, LanePortNames) {
   EXPECT_EQ(lane_port("s", 0), "s_tdata0");
   EXPECT_EQ(lane_port("m", 7), "m_tdata7");
-}
-
-TEST(Stream, BeatsToMatrixRequiresEightBeats) {
-  std::vector<Beat> beats(3);
-  EXPECT_THROW(beats_to_matrix(beats), Error);
 }
 
 class TestbenchAgainstDut : public ::testing::Test {

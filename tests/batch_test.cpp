@@ -13,17 +13,13 @@
 //   2. per-lane fault injection (every LaneFault kind, including input and
 //      hoisted-const targets) against an interpreter with the same fault
 //      armed (Engine::arm_fault), plus disarm/heal parity;
-//   3. lane retirement: surviving lanes keep their exact trajectories
-//      while columns compact away, and reset_all() revives the batch;
-//   4. fault campaigns classified at several {lanes, jobs} combinations,
+//   3. fault campaigns classified at several {lanes, jobs} combinations,
 //      counts AND the per-run log bitwise identical to the interpreter
 //      campaign oracle (campaign_oracle.hpp), for every registered
-//      workload;
-//   5. core::evaluate_axis_design with lanes > 1 agrees with the
-//      interpreter's single-stimulus evaluation;
-//   6. concurrent ExecPlan::for_design first use (the TSan target) and the
+//      workload, including campaigns narrower than the lane pool;
+//   4. concurrent ExecPlan::for_design first use (the TSan target) and the
 //      batch utilization counters;
-//   7. exact hang proofs (axis::HangWatch) on hand-built netlists: proven
+//   5. exact hang proofs (axis::HangWatch) on hand-built netlists: proven
 //      early exactly where the watchdog would fire, never on a lane that
 //      delivers later, never before a timed fault has fired.
 #include <gtest/gtest.h>
@@ -38,7 +34,6 @@
 #include "axis/stream.hpp"
 #include "axis/testbench.hpp"
 #include "base/rng.hpp"
-#include "core/evaluate.hpp"
 #include "fault/campaign.hpp"
 #include "fault/model.hpp"
 #include "netlist/exec_plan.hpp"
@@ -214,68 +209,7 @@ TEST_P(RandomNetlistLaneFaults, EveryLaneFaultKindMatchesScalarInjector) {
   }
 }
 
-// ---- 3. lane retirement ----------------------------------------------------
-
-TEST(BatchRetirement, SurvivorsKeepExactTrajectoriesAcrossCompaction) {
-  const uint64_t seed = 11;
-  const Design d = random_design(seed);
-  const std::vector<NodeId> ins(d.inputs().begin(), d.inputs().end());
-  const int lanes = 8;
-
-  sim::BatchSimulator batch(d, lanes);
-  std::vector<std::unique_ptr<sim::Simulator>> scalars;
-  std::vector<SplitMix64> rngs;
-  for (int l = 0; l < lanes; ++l) {
-    scalars.push_back(std::make_unique<sim::Simulator>(d));
-    rngs.emplace_back(seed + static_cast<uint64_t>(l) * 1337);
-  }
-
-  // Retire lanes one by one (crossing the deferred-compaction thresholds
-  // at 4, 2 and 1 live lanes); survivors must stay bit-exact throughout.
-  const int retire_order[] = {2, 5, 0, 7, 3, 6, 1};
-  std::vector<bool> dead(static_cast<size_t>(lanes), false);
-  int retired = 0;
-  for (int cycle = 0; cycle < 24; ++cycle) {
-    if (cycle > 0 && cycle % 3 == 0 && retired < 7) {
-      const int victim = retire_order[retired++];
-      batch.retire_lane(victim);
-      dead[static_cast<size_t>(victim)] = true;
-      EXPECT_TRUE(batch.lane_retired(victim));
-      EXPECT_EQ(batch.active_lanes(), lanes - retired);
-    }
-    for (int l = 0; l < lanes; ++l) {
-      if (dead[static_cast<size_t>(l)]) continue;
-      for (NodeId in : ins) {
-        const int64_t v = static_cast<int64_t>(rngs[l].next());
-        batch.poke_input(l, in, v);
-        scalars[l]->poke(in, v);
-      }
-    }
-    batch.eval_all();
-    for (int l = 0; l < lanes; ++l) {
-      if (dead[static_cast<size_t>(l)]) continue;
-      scalars[l]->eval();
-      expect_lane_equals_scalar(batch, l, *scalars[l], d, seed, cycle);
-    }
-    batch.step_all();
-    for (int l = 0; l < lanes; ++l)
-      if (!dead[static_cast<size_t>(l)]) scalars[l]->step();
-  }
-  EXPECT_EQ(batch.active_lanes(), 1);
-
-  // reset_all revives every lane at the scalar reset state.
-  batch.reset_all();
-  EXPECT_EQ(batch.active_lanes(), lanes);
-  batch.eval_all();
-  scalars[0]->reset();
-  scalars[0]->eval();
-  for (int l = 0; l < lanes; ++l) {
-    EXPECT_FALSE(batch.lane_retired(l));
-    expect_lane_equals_scalar(batch, l, *scalars[0], d, seed, -1);
-  }
-}
-
-// ---- 4. campaign classification parity -------------------------------------
+// ---- 3. campaign classification parity -------------------------------------
 
 fault::CampaignOptions campaign_options(int lanes, int jobs) {
   fault::CampaignOptions opts;
@@ -340,6 +274,20 @@ TEST(BatchCampaign, BitwiseIdenticalAcrossLanesAndJobs) {
                            "lanes=" + std::to_string(lanes) +
                                " jobs=" + std::to_string(jobs));
     }
+  }
+
+  // At lanes 8: 5 sites make a pool narrower than the requested width, and
+  // 12 sites leave a partly filled last group (8 + 4), each mixing SEU and
+  // stuck-at sites.
+  for (size_t n : {5, 12}) {
+    std::vector<fault::FaultSite> few(sites.begin(),
+                                      sites.begin() + static_cast<long>(n - 2));
+    few.insert(few.end(), sites.end() - 2, sites.end());
+    const fault::CampaignReport few_oracle = oracle_at(d, spec, few);
+    for (int jobs : {1, 4})
+      expect_reports_equal(few_oracle, campaign_at(d, spec, few, 8, jobs),
+                           std::to_string(n) + " sites lanes=8 jobs=" +
+                               std::to_string(jobs));
   }
 }
 
@@ -440,29 +388,7 @@ TEST(BatchCampaign, EveryRegisteredWorkloadClassifiesIdentically) {
   }
 }
 
-// ---- 5. batched evaluation -------------------------------------------------
-
-TEST(BatchEvaluate, LanedEvaluationAgreesWithScalar) {
-  const Design d = rtl::build_verilog_opt2();
-  const workload::WorkloadSpec& spec =
-      workload::Registry::instance().get("idct");
-  core::EvaluateOptions opts;
-  opts.matrices = 4;
-  opts.engine = sim::EngineKind::kInterpreter;  // the independent reference
-  const core::DesignEvaluation scalar = core::evaluate_axis_design(d, spec, opts);
-  opts.engine = sim::EngineKind::kCompiled;
-  opts.lanes = 8;
-  const core::DesignEvaluation batched =
-      core::evaluate_axis_design(d, spec, opts);
-  EXPECT_TRUE(scalar.functional);
-  EXPECT_TRUE(batched.functional);
-  // Lane 0 replays the scalar stimulus: measured timing is identical.
-  EXPECT_EQ(batched.latency_cycles, scalar.latency_cycles);
-  EXPECT_EQ(batched.periodicity_cycles, scalar.periodicity_cycles);
-  EXPECT_EQ(batched.throughput_mops, scalar.throughput_mops);
-}
-
-// ---- 6. shared-plan thread safety and utilization counters -----------------
+// ---- 4. shared-plan thread safety and utilization counters -----------------
 
 TEST(BatchInfra, ExecPlanConcurrentFirstUseYieldsOneSharedPlan) {
   // Fresh design each run: the first for_design() call races 8 threads
@@ -510,7 +436,7 @@ TEST(BatchInfra, UtilizationCountersTrackSweepsAndLanes) {
   EXPECT_GE(obs::registry().counter("sim.batch.lanes")->value(), lanes0 + 12);
 }
 
-// ---- 7. exact hang proofs ---------------------------------------------------
+// ---- 5. exact hang proofs ---------------------------------------------------
 
 /// Canonical-port echo (12-bit input lanes truncated to the 9-bit output
 /// lanes, one cycle late) whose stream runs only while the 1-bit node

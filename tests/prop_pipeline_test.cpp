@@ -57,6 +57,12 @@ struct Case {
   int stages;
 };
 
+// A readable, deterministic GetParam() in the CTest name (gtest's default
+// dump prints the struct bytes, uninitialized padding included).
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " stages=" << c.stages;
+}
+
 class RandomPipeline : public ::testing::TestWithParam<Case> {};
 
 TEST_P(RandomPipeline, StreamedEquivalenceAtReportedLatency) {

@@ -470,6 +470,74 @@ TEST(Server, ShedsWhenTheQueueIsFullAndRecovers) {
   EXPECT_TRUE(call_ok(server, R"({"method":"ping"})").find("pong")->as_bool());
 }
 
+TEST(Server, ShedRequestsStayOutOfTheLatencyHistogram) {
+  obs::set_enabled(true);
+  obs::registry().reset();
+  ServerOptions options = small_server(/*workers=*/1, /*queue=*/1);
+  Server server(options);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  server.register_design("gated", [&] {
+    std::unique_lock<std::mutex> lock(gate_mutex);
+    gate_cv.wait(lock, [&] { return gate_open; });
+    return rtl::build_verilog_initial();
+  });
+
+  // Overload a 1-deep queue behind a gated compile, plus one request that
+  // never parses: both kinds are answered at admission, in ~0 ns.
+  std::vector<std::future<std::string>> futures;
+  for (int i = 0; i < 10; ++i)
+    futures.push_back(server.submit(
+        R"({"id":)" + std::to_string(i) +
+        R"(,"method":"compile","params":{"design":"gated"}})"));
+  futures.push_back(server.submit("{not json"));
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  int served = 0;
+  for (int i = 0; i < 10; ++i) {
+    const Json r = Json::parse(futures[static_cast<size_t>(i)].get());
+    served += r.find("ok")->as_bool() ? 1 : 0;
+    EXPECT_EQ(r.find("id")->as_int(), i);  // shed answers keep their id
+  }
+  futures.back().get();
+  const int shed = static_cast<int>(server.shed_count());
+  ASSERT_GT(shed, 0);
+  ASSERT_EQ(served + shed, 10);
+
+  // Latency histograms time only what a worker processed...
+  obs::Registry& reg = obs::registry();
+  EXPECT_EQ(reg.histogram("svc.request_ns")->count(), served);
+  EXPECT_EQ(
+      reg.histogram(obs::labeled("svc.request_ns", "method", "compile"))
+          ->count(),
+      served);
+  // ...while shed and unparseable requests keep their counters, outcome
+  // labels and request records.
+  EXPECT_EQ(reg.counter("svc.requests")->value(), 11);
+  EXPECT_EQ(reg.counter("svc.shed")->value(), shed);
+  EXPECT_EQ(reg.counter(obs::labeled("svc.outcome", "code", "overloaded"))
+                ->value(),
+            shed);
+  EXPECT_EQ(
+      reg.counter(obs::labeled("svc.requests", "method", "compile"))->value(),
+      10);
+  int overloaded_records = 0, unparsed_records = 0;
+  const std::vector<Server::RequestRecord> records = server.recent_requests();
+  EXPECT_EQ(records.size(), 11u);
+  for (const Server::RequestRecord& r : records) {
+    overloaded_records += r.outcome == "overloaded";
+    unparsed_records += r.outcome == "invalid_request";
+  }
+  EXPECT_EQ(overloaded_records, shed);
+  EXPECT_EQ(unparsed_records, 1);
+  obs::set_enabled(false);
+  obs::registry().reset();
+}
+
 // The headline property: 100 hostile requests in a row cannot degrade the
 // daemon, and the compile served afterwards is bitwise identical to calling
 // tools::compile directly.
